@@ -1,6 +1,5 @@
-// Micro-benchmarks of the real GEMM kernels over (backend x transpose mode)
-// — the search space the kernel tuner (§V-C) times on the first batch. The
-// tiled backend packs op(A)/op(B) into contiguous panels and runs a
+// Micro-benchmarks of the real GEMM kernels over (backend x transpose mode).
+// The tiled backend packs op(A)/op(B) into contiguous panels and runs a
 // register-blocked micro-kernel, so its advantage over the reference loops
 // grows with size; `gemm/tiled_packed/*` additionally reuses a prebuilt B
 // panel, the FC layer's weight-cache path. `--json <path>` writes every

@@ -124,7 +124,7 @@ int main(int argc, char** argv) {
   auto elastic_crash = elastic_clean;
   arm_crash(elastic_crash);
 
-  (void)run_once(full_clean);  // warm allocators + kernel tuner cache
+  (void)run_once(full_clean);  // warm allocators
 
   const Timed t_full_clean = best_of(full_clean, reps);
   const Timed t_full_crash = best_of(full_crash, reps);

@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
     healed.chaos.wire.corrupt_probability = 0.02;
     healed.crc_max_retries = 16;
 
-    // One throwaway run warms allocators and the kernel tuner cache.
+    // One throwaway run warms allocators.
     (void)seconds_per_step(config, 1);
     const double t_base = seconds_per_step(config, 3);
     const double t_abft = seconds_per_step(abft, 3);

@@ -51,7 +51,7 @@ int main() {
     options.overlap_weight_all_gather = true;        // OAG
     options.overlap_input_grad_all_reduce = true;    // OAR
     options.overlap_weight_grad_reduce_scatter = true;  // ORS
-    options.kernel_tuning = true;                    // §V-C BLAS tuning
+    options.gemm_backend = GemmBackend::kTiled;      // packed-panel GEMMs
     options.validate_comm_model = validate_comm;     // Eqs. 1-5 vs wire bytes
     core::TensorParallelMLP mlp(grid, dims, /*seed=*/42, options);
 

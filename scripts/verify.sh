@@ -12,6 +12,8 @@
 #   4. bench-smoke (`ctest -L bench`) + tools/bench_compare.py against the
 #      checked-in BENCH_*.json baselines (incl. BENCH_recovery.json: elastic
 #      MTTR vs the full-restart baseline)
+#   5. bench_e2e smoke (`python3 bench_e2e/run.py --smoke`): every repo
+#      benchmark workload at toy size, traced and untraced
 #
 # Usage: scripts/verify.sh [--skip-sanitizers] [--skip-bench]
 # Runs from anywhere; builds into build/, build-asan/, build-tsan/ under the
@@ -68,9 +70,8 @@ if [[ "$skip_sanitizers" == 0 ]]; then
     ctest --test-dir build-asan -L isa --output-on-failure -j "$jobs"
 
   stage "ASan tree: ctest -L mem"
-  # The arena falls back to plain tracked malloc/free under ASan (pooling
-  # would hide use-after-free behind the free lists); the mem suites must be
-  # clean in that configuration, with the pool tests skipping themselves.
+  # Every arena deallocate() really frees, so ASan sees any use-after-free
+  # in the arena ledger and the memory-model suites.
   ctest --test-dir build-asan -L mem --output-on-failure -j "$jobs"
 
   stage "TSan tree: ctest -L tsan"
@@ -166,6 +167,12 @@ if [[ "$skip_bench" == 0 ]]; then
       echo "bench_compare: no checked-in baseline for $f (first run?)"
     fi
   done
+
+  stage "bench_e2e smoke (python3 bench_e2e/run.py --smoke)"
+  # Builds the benchmark from source into .bench_build/ and runs every
+  # workload at toy size; fails on a non-zero exit or a failed correctness
+  # check, so the repo benchmark cannot rot between measured runs.
+  python3 bench_e2e/run.py --smoke
 fi
 
 stage "verify.sh: all stages passed"

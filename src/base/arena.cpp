@@ -6,26 +6,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <mutex>
 #include <string>
 
 #include "axonn/base/error.hpp"
 #include "axonn/base/metrics.hpp"
 #include "axonn/base/trace.hpp"
-
-// Pooling keeps freed ranges mapped and reuses them, which would blind
-// AddressSanitizer's use-after-free detection; under ASan the arena mode
-// degrades to plain tracked allocation (every deallocate really frees).
-#if defined(__SANITIZE_ADDRESS__)
-#define AXONN_MEM_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define AXONN_MEM_ASAN 1
-#endif
-#endif
-#ifndef AXONN_MEM_ASAN
-#define AXONN_MEM_ASAN 0
-#endif
 
 namespace axonn::mem {
 namespace {
@@ -35,15 +20,12 @@ namespace {
 constexpr std::size_t kHeaderBytes = kCacheLineBytes;
 
 constexpr std::uint64_t kMagic = 0xA40AB10CA7ED11EFull;
-constexpr std::uint32_t kNoClass = 0xFFFFFFFFu;
 
 struct Header {
   std::uint64_t magic;
-  std::uint64_t bytes;       ///< requested payload bytes (accounting unit)
-  std::uint32_t size_class;  ///< pool class; kNoClass when unpoolable
+  std::uint64_t bytes;   ///< requested payload bytes (accounting unit)
   std::uint8_t tag;
-  std::uint8_t tracked;      ///< accounting was recorded at allocation
-  std::uint8_t poolable;     ///< capacity is class-sized; free may pool it
+  std::uint8_t tracked;  ///< accounting was recorded at allocation
 };
 static_assert(sizeof(Header) <= kHeaderBytes);
 
@@ -85,46 +67,6 @@ bool trace_timeline_enabled() {
     return env != nullptr && *env != '\0' && std::strcmp(env, "0") != 0;
   }();
   return on;
-}
-
-// ---------------------------------------------------------------------------
-// Size-bucketed pool (arena mode)
-// ---------------------------------------------------------------------------
-
-/// Power-of-two classes from 64 B to 4 GiB; larger blocks bypass the pool.
-constexpr std::size_t kMinClassLog2 = 6;
-constexpr std::size_t kMaxClassLog2 = 32;
-constexpr std::size_t kNumClasses = kMaxClassLog2 - kMinClassLog2 + 1;
-/// Free-list retention cap: past this the free falls through to the system
-/// allocator, bounding how much an allocation spike stays parked.
-constexpr std::uint64_t kPoolCapBytes = 256ull << 20;
-
-struct Pool {
-  std::mutex mutex;
-  std::array<std::vector<void*>, kNumClasses> free_lists;
-  std::uint64_t pooled_bytes = 0;
-  std::atomic<std::uint64_t> hits{0};
-  std::atomic<std::uint64_t> misses{0};
-};
-
-Pool& pool() {
-  static Pool* p = new Pool;  // leaked: outlives all threads
-  return *p;
-}
-
-std::uint32_t size_class_for(std::size_t bytes) {
-  std::size_t cls = kMinClassLog2;
-  while (cls <= kMaxClassLog2 && (std::size_t{1} << cls) < bytes) ++cls;
-  if (cls > kMaxClassLog2) return kNoClass;
-  return static_cast<std::uint32_t>(cls - kMinClassLog2);
-}
-
-std::size_t class_bytes(std::uint32_t cls) {
-  return std::size_t{1} << (cls + kMinClassLog2);
-}
-
-void system_free(void* base) noexcept {
-  ::operator delete(base, std::align_val_t(kCacheLineBytes));
 }
 
 // ---------------------------------------------------------------------------
@@ -209,7 +151,6 @@ const char* to_string(Mode mode) {
   switch (mode) {
     case Mode::kOff: return "off";
     case Mode::kTrack: return "track";
-    case Mode::kArena: return "arena";
   }
   return "?";
 }
@@ -217,16 +158,13 @@ const char* to_string(Mode mode) {
 Mode parse_mode(std::string_view text) {
   if (text == "off") return Mode::kOff;
   if (text == "track") return Mode::kTrack;
-  if (text == "arena") return Mode::kArena;
   throw Error("AXONN_MEM: unknown mode '" + std::string(text) +
-              "' (expected off|track|arena)");
+              "' (expected off|track)");
 }
 
 Mode mode() { return mode_cell().load(std::memory_order_relaxed); }
 
 void set_mode(Mode m) { mode_cell().store(m, std::memory_order_relaxed); }
-
-bool pooling_available() { return !AXONN_MEM_ASAN; }
 
 Tag current_tag() { return t_tag; }
 
@@ -235,42 +173,15 @@ ArenaScope::ArenaScope(Tag tag) : prev_(t_tag) { t_tag = tag; }
 ArenaScope::~ArenaScope() { t_tag = prev_; }
 
 void* allocate(std::size_t bytes) {
-  const Mode m = mode();
   const Tag tag = t_tag;
-  const bool tracked = m != Mode::kOff;
-  const bool want_pool = m == Mode::kArena && pooling_available();
-
-  std::uint32_t cls = kNoClass;
-  std::size_t capacity = bytes;
-  void* base = nullptr;
-  if (want_pool) {
-    cls = size_class_for(bytes);
-    if (cls != kNoClass) {
-      capacity = class_bytes(cls);
-      Pool& p = pool();
-      {
-        std::lock_guard<std::mutex> lock(p.mutex);
-        auto& list = p.free_lists[cls];
-        if (!list.empty()) {
-          base = list.back();
-          list.pop_back();
-          p.pooled_bytes -= capacity;
-        }
-      }
-      (base ? p.hits : p.misses).fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  if (base == nullptr) {
-    base = ::operator new(kHeaderBytes + capacity,
-                          std::align_val_t(kCacheLineBytes));
-  }
+  const bool tracked = mode() != Mode::kOff;
+  void* base =
+      ::operator new(kHeaderBytes + bytes, std::align_val_t(kCacheLineBytes));
   Header* h = static_cast<Header*>(base);
   h->magic = kMagic;
   h->bytes = bytes;
-  h->size_class = cls;
   h->tag = static_cast<std::uint8_t>(tag);
   h->tracked = tracked ? 1 : 0;
-  h->poolable = (want_pool && cls != kNoClass) ? 1 : 0;
   if (tracked) account_alloc(tag, bytes);
   return static_cast<char*>(base) + kHeaderBytes;
 }
@@ -278,24 +189,12 @@ void* allocate(std::size_t bytes) {
 void deallocate(void* p) noexcept {
   if (p == nullptr) return;
   void* base = static_cast<char*>(p) - kHeaderBytes;
-  Header* h = static_cast<Header*>(base);
+  const Header* h = static_cast<const Header*>(base);
   assert(h->magic == kMagic && "mem::deallocate on a foreign pointer");
   if (h->tracked) {
     account_free(static_cast<Tag>(h->tag), static_cast<std::size_t>(h->bytes));
   }
-  if (h->poolable && mode() == Mode::kArena) {
-    const std::uint32_t cls = h->size_class;
-    const std::size_t capacity = class_bytes(cls);
-    Pool& p = pool();
-    std::lock_guard<std::mutex> lock(p.mutex);
-    if (p.pooled_bytes + capacity <= kPoolCapBytes) {
-      h->magic = 0;  // poison the stale header against double frees
-      p.free_lists[cls].push_back(base);
-      p.pooled_bytes += capacity;
-      return;
-    }
-  }
-  system_free(base);
+  ::operator delete(base, std::align_val_t(kCacheLineBytes));
 }
 
 TagStats tag_stats(Tag tag) {
@@ -323,26 +222,6 @@ void reset_high_water_marks() {
   }
   g_total_hwm.store(g_total_live.load(std::memory_order_relaxed),
                     std::memory_order_relaxed);
-}
-
-PoolStats pool_stats() {
-  Pool& p = pool();
-  PoolStats s;
-  s.hits = p.hits.load(std::memory_order_relaxed);
-  s.misses = p.misses.load(std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(p.mutex);
-  s.pooled_bytes = p.pooled_bytes;
-  return s;
-}
-
-void trim_pool() {
-  Pool& p = pool();
-  std::lock_guard<std::mutex> lock(p.mutex);
-  for (auto& list : p.free_lists) {
-    for (void* base : list) system_free(base);
-    list.clear();
-  }
-  p.pooled_bytes = 0;
 }
 
 ProcessMemory process_memory() {
@@ -396,18 +275,6 @@ void publish_metrics() {
       "high-water mark of total tracked live bytes (true HWM of the sum)");
   total_live.set_forced(static_cast<double>(total_live_bytes()));
   total_hwm.set_forced(static_cast<double>(total_hwm_bytes()));
-
-  const PoolStats ps = pool_stats();
-  static Gauge pool_hits("mem.pool.hits",
-                         "allocations served from an arena free list");
-  static Gauge pool_misses(
-      "mem.pool.misses", "arena-mode allocations that fell through to the "
-                         "system allocator");
-  static Gauge pool_parked("mem.pool.pooled_bytes",
-                           "free-list capacity currently parked in the arena");
-  pool_hits.set_forced(static_cast<double>(ps.hits));
-  pool_misses.set_forced(static_cast<double>(ps.misses));
-  pool_parked.set_forced(static_cast<double>(ps.pooled_bytes));
 
   const ProcessMemory pm = process_memory();
   static Gauge rss("mem.process.rss_bytes",

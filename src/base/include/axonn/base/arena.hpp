@@ -10,26 +10,20 @@
 //     stamped with a per-subsystem Tag (weights, activations, grads, adam,
 //     packed_panels, comm_buffers, journal) taken from the ambient
 //     thread-local ArenaScope at allocation time. The 64-byte block header
-//     written in front of the payload records the tag, size and pooling
-//     class, so accounting stays correct no matter which thread frees the
-//     block or what the mode was when it was allocated — and the payload
-//     keeps the kCacheLineBytes alignment the GEMM kernels assume.
+//     written in front of the payload records the tag and size, so
+//     accounting stays correct no matter which thread frees the block or
+//     what the mode was when it was allocated — and the payload keeps the
+//     kCacheLineBytes alignment the GEMM kernels assume.
 //   - Per-tag live bytes, cumulative allocation counts/bytes and high-water
 //     marks are lock-free atomics (relaxed adds + a CAS-max for the HWMs);
 //     allocation sizes additionally feed the metrics registry's log2
 //     histograms through its per-thread shards when metrics are enabled.
-//   - AXONN_MEM=off|track|arena selects the mode: `off` is a plain aligned
+//   - AXONN_MEM=off|track selects the mode: `off` is a plain aligned
 //     allocation with no accounting, `track` (the default) adds the atomic
-//     accounting, `arena` adds size-bucketed free-list pooling on top so
-//     steady-state training reallocations (gathered weight blocks, packed
-//     panels, ring frames) stop round-tripping through the system allocator.
+//     accounting.
 //   - AXONN_MEM_TRACE=1 additionally emits per-tag live-byte counter events
 //     into the Chrome trace (obs::counter) so the allocation timeline lines
 //     up with the compute/comm spans of the flight recorder.
-//
-// Under AddressSanitizer builds the arena mode degrades to track: pooled
-// blocks would keep freed ranges mapped and defeat ASan's use-after-free
-// red-zones, so pooling is compiled out and every deallocate() really frees.
 //
 // perf::MemoryModel predicts the per-tag numbers this layer measures, and
 // perf::MemoryModelChecker cross-validates the two — the memory twin of the
@@ -62,9 +56,9 @@ enum class Tag : std::uint8_t {
 inline constexpr std::size_t kNumTags = 8;
 const char* to_string(Tag tag);
 
-enum class Mode : std::uint8_t { kOff, kTrack, kArena };
+enum class Mode : std::uint8_t { kOff, kTrack };
 const char* to_string(Mode mode);
-/// Throws Error on anything but "off" | "track" | "arena".
+/// Throws Error on anything but "off" | "track".
 Mode parse_mode(std::string_view text);
 
 /// The process-wide mode: AXONN_MEM at first use, overridable for tests.
@@ -72,10 +66,6 @@ Mode parse_mode(std::string_view text);
 /// their mode in the header and free correctly regardless.
 Mode mode();
 void set_mode(Mode m);
-
-/// True when the build runs under AddressSanitizer (pooling is disabled and
-/// kArena silently behaves like kTrack).
-bool pooling_available();
 
 // ---------------------------------------------------------------------------
 // Ambient tag
@@ -132,17 +122,6 @@ std::uint64_t total_hwm_bytes();
 /// Concurrent allocations continue to be folded in.
 void reset_high_water_marks();
 
-struct PoolStats {
-  std::uint64_t hits = 0;          ///< allocations served from a free list
-  std::uint64_t misses = 0;        ///< allocations that hit ::operator new
-  std::uint64_t pooled_bytes = 0;  ///< capacity currently parked in pools
-};
-PoolStats pool_stats();
-
-/// Releases every pooled free block back to the system (arena mode only;
-/// no-op otherwise). Live blocks are unaffected.
-void trim_pool();
-
 // ---------------------------------------------------------------------------
 // Process memory (/proc/self/status)
 // ---------------------------------------------------------------------------
@@ -156,7 +135,7 @@ struct ProcessMemory {
 ProcessMemory process_memory();
 
 /// Mirrors the arena counters into the metrics registry as forced gauges
-/// (mem.<tag>.live_bytes / mem.<tag>.hwm_bytes, totals, pool stats, process
+/// (mem.<tag>.live_bytes / mem.<tag>.hwm_bytes, totals, process
 /// RSS/VmHWM). Cold path: call at export points (a metrics export hook runs
 /// it automatically before every Prometheus write).
 void publish_metrics();

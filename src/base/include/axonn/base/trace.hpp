@@ -62,7 +62,6 @@ inline constexpr const char* kCatComm = "comm";    ///< collective executing
 inline constexpr const char* kCatWait = "wait";    ///< compute thread stalled
 inline constexpr const char* kCatCompute = "compute";  ///< GEMM/attention/...
 inline constexpr const char* kCatIter = "iter";    ///< one training iteration
-inline constexpr const char* kCatTuner = "tuner";  ///< kernel-tuning decisions
 inline constexpr const char* kCatCheck = "commcheck";  ///< Eq. 1–5 validation
 inline constexpr const char* kCatIntegrity = "integrity";  ///< SDC detect/heal
 

@@ -17,10 +17,6 @@ TensorParallelFC::TensorParallelFC(Grid4D& grid, std::size_t in_features,
       out_features_(out_features),
       options_(options) {
   AXONN_CHECK(in_features >= 1 && out_features >= 1);
-  if (options_.kernel_tuning) {
-    tuner_ = std::make_unique<KernelTuner>(options_.kernel_tuner_repeats,
-                                           options_.mixed_precision);
-  }
   in_range_ = chunk_range(in_features, static_cast<std::size_t>(row_dim()),
                           static_cast<std::size_t>(row_coord()));
   out_range_ = chunk_range(out_features, static_cast<std::size_t>(col_dim()),
@@ -82,77 +78,33 @@ const PackedB* TensorParallelFC::weight_pack_for(GemmMode mode) {
 
 Matrix TensorParallelFC::multiply(GemmMode mode, const Matrix& a,
                                   const Matrix& b, bool b_is_weight) {
-  // §V-C: with kernel_tuning on, the tuner times every (kernel mode x
-  // backend) variant for this (mode, shape) on the first batch and runs the
-  // winner thereafter — this is the layer's real hot path, not a side
-  // calibration.
-  //
-  // The per-layer lane budget (if any) wraps the whole dispatch, including
-  // the tuner's timing runs, so tuning decisions are made at the thread
-  // count the layer will actually run with.
+  // The per-layer lane budget (if any) wraps the whole dispatch.
   GemmThreadScope gemm_lanes(options_.gemm_threads);
-  const GemmShape shape = gemm_shape(mode, a, b);
-  const PackedB* pack = nullptr;
-  if (b_is_weight) {
-    // Pack ahead of tuning so the tiled variant is timed through the
-    // pack-once path it would actually run; drop the pack if it loses.
-    bool want_pack;
-    if (tuner_) {
-      const KernelTuner::Choice* decision =
-          tuner_->find_decision(mode, shape.m, shape.n, shape.k);
-      want_pack = decision == nullptr ||
-                  decision->backend == GemmBackend::kTiled;
-    } else {
-      want_pack = options_.gemm_backend == GemmBackend::kTiled;
-    }
-    if (want_pack) pack = weight_pack_for(mode);
-  }
+  const bool tiled = options_.gemm_backend == GemmBackend::kTiled;
+  const PackedB* pack = tiled && b_is_weight ? weight_pack_for(mode) : nullptr;
   // ABFT (integrity/abft.hpp) wraps whichever kernel runs below: checksums
   // are predicted from (a, b) before the kernel and verified against c after,
-  // so every path — tuner-selected, tiled prepacked, tiled, reference, bf16 —
-  // is covered by the same identity. With abft.mode off (the default) the
-  // wrapper invokes the kernel once and returns, bit-identical to the
-  // unwrapped dispatch.
-  GemmBackend report_backend = options_.gemm_backend;
-  if (tuner_) {
-    const KernelTuner::Choice* decision =
-        tuner_->find_decision(mode, shape.m, shape.n, shape.k);
-    report_backend =
-        decision != nullptr ? decision->backend : GemmBackend::kTiled;
-  }
-  Matrix c(shape.m, shape.n);
+  // so every path — tiled prepacked, tiled, reference, bf16 — is covered by
+  // the same identity. With abft.mode off (the default) the wrapper invokes
+  // the kernel once and returns, bit-identical to the unwrapped dispatch.
   const auto compute = [&](Matrix& out) {
-    if (tuner_) {
-      out = tuner_->run(mode, a, b, pack);
-      if (pack != nullptr) {
-        const KernelTuner::Choice* decision =
-            tuner_->find_decision(mode, shape.m, shape.n, shape.k);
-        if (decision != nullptr && decision->backend != GemmBackend::kTiled) {
-          (mode == GemmMode::kNT ? packed_weight_t_ : packed_weight_n_)
-              .clear();
-        }
-      }
-      return;
-    }
-    if (options_.gemm_backend == GemmBackend::kTiled) {
-      if (pack != nullptr) {
-        gemm_tiled_packed(gemm_transposes_a(mode), 1.0f, a, *pack, 0.0f, out,
-                          options_.mixed_precision);
-      } else {
-        gemm_tiled(mode, 1.0f, a, b, 0.0f, out, options_.mixed_precision);
-      }
-      return;
-    }
-    if (options_.mixed_precision) {
+    if (pack != nullptr) {
+      gemm_tiled_packed(gemm_transposes_a(mode), 1.0f, a, *pack, 0.0f, out,
+                        options_.mixed_precision);
+    } else if (tiled) {
+      gemm_tiled(mode, 1.0f, a, b, 0.0f, out, options_.mixed_precision);
+    } else if (options_.mixed_precision) {
       gemm_bf16(mode, 1.0f, a, b, 0.0f, out);
     } else {
       gemm(mode, 1.0f, a, b, 0.0f, out);
     }
   };
+  const GemmShape shape = gemm_shape(mode, a, b);
+  Matrix c(shape.m, shape.n);
   const std::string op = std::string("fc:") + to_string(mode);
-  integrity::abft_checked_gemm(options_.abft, op.c_str(), report_backend, mode,
-                               1.0f, a, b, 0.0f, c, options_.mixed_precision,
-                               compute);
+  integrity::abft_checked_gemm(options_.abft, op.c_str(), options_.gemm_backend,
+                               mode, 1.0f, a, b, 0.0f, c,
+                               options_.mixed_precision, compute);
   return c;
 }
 
@@ -191,9 +143,8 @@ void TensorParallelFC::begin_weight_gather() {
       std::span<float>(prefetch_block_.storage()), z_elem_counts_);
   // Pre-pack the forward (NN) panel on the same lane: FIFO order puts it
   // right after the gather lands, so the prefetch arrives ready for the
-  // tiled kernel with no pack on the critical path. Tuned layers pack
-  // lazily as before (the winning backend is shape-dependent).
-  if (!tuner_ && options_.gemm_backend == GemmBackend::kTiled) {
+  // tiled kernel with no pack on the critical path.
+  if (options_.gemm_backend == GemmBackend::kTiled) {
     pending_weight_pack_ = grid_.z_comm().run_on_stream([this] {
       obs::SpanGuard span(obs::kCatCompute, "prefetch_pack_weight");
       prefetch_packed_n_ =

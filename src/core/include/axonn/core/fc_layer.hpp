@@ -23,13 +23,11 @@
 // begin_weight_gather() (OAG).
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "axonn/base/rng.hpp"
 #include "axonn/core/grid4d.hpp"
-#include "axonn/core/kernel_tuner.hpp"
 #include "axonn/integrity/abft.hpp"
 #include "axonn/tensor/gemm.hpp"
 #include "axonn/tensor/gemm_tiled.hpp"
@@ -46,19 +44,12 @@ struct FCOptions {
   /// ORS: issue the dW reduce-scatter asynchronously; completed only at
   /// finish_gradients().
   bool overlap_weight_grad_reduce_scatter = false;
-  /// §V-C kernel tuning: route the layer's three GEMMs (NN forward, NT dI,
-  /// TN dW) through a per-layer KernelTuner that times all (kernel mode x
-  /// backend) variants on the first batch and locks in the fastest.
-  /// Respects mixed_precision. Reference-backend variants are bit-identical
-  /// to the untuned kernel; a tiled-backend winner matches within
-  /// accumulation-order tolerance (see KernelTuner).
-  bool kernel_tuning = false;
-  /// Timing repeats per variant when tuning (first batch only).
-  int kernel_tuner_repeats = 3;
-  /// GEMM backend when kernel_tuning is off: kReference runs the seed's
-  /// scalar kernel unchanged (bit-identical results); kTiled runs the
+  /// GEMM backend for the layer's three products: kReference runs the
+  /// seed's scalar kernel unchanged (bit-identical results); kTiled runs the
   /// packed-panel backend, reusing the layer's pack-once weight panel cache
-  /// for the forward (NN) and dI (NT) products.
+  /// for the forward (NN) and dI (NT) products. Packing resolves operand
+  /// transposes, so there is no per-mode kernel choice left to make here;
+  /// the paper's §V-C mode tuning is modelled in sim::SimOptions.
   GemmBackend gemm_backend = GemmBackend::kReference;
   /// Intra-rank GEMM worker lanes for this layer's three GEMMs: a
   /// GemmThreadScope installed around multiply() while > 0, overriding the
@@ -70,9 +61,9 @@ struct FCOptions {
   float init_std = 0.02f;
   /// ABFT (Huang–Abraham checksum) verification around the layer's three
   /// GEMMs — forward NN, backward-dI NT, backward-dW TN — covering every
-  /// execution path (reference, tiled, prepacked panels, tuner-selected,
-  /// bf16). abft.mode is resolved against the AXONN_INTEGRITY override per
-  /// call; kHeal recomputes a mismatching GEMM in place of failing. See
+  /// execution path (reference, tiled, prepacked panels, bf16). abft.mode
+  /// is resolved against the AXONN_INTEGRITY override per call; kHeal
+  /// recomputes a mismatching GEMM in place of failing. See
   /// integrity/abft.hpp and DESIGN.md §9.
   integrity::AbftOptions abft;
 };
@@ -174,10 +165,6 @@ class TensorParallelFC {
   /// each Z rank contributes.
   const std::vector<std::size_t>& z_shard_counts() const { return z_counts_; }
 
-  /// The layer's kernel tuner, or nullptr when FCOptions::kernel_tuning is
-  /// off. Decisions accumulate as the real training path runs.
-  const KernelTuner* kernel_tuner() const { return tuner_.get(); }
-
  private:
   comm::Communicator& row_comm() {
     return options_.transposed ? grid_.x_comm() : grid_.y_comm();
@@ -212,7 +199,6 @@ class TensorParallelFC {
   std::size_t in_features_;
   std::size_t out_features_;
   FCOptions options_;
-  std::unique_ptr<KernelTuner> tuner_;  ///< non-null iff kernel_tuning
 
   Range in_range_;   ///< rows of W / cols of I owned by this row coordinate
   Range out_range_;  ///< cols of W owned by this column coordinate

@@ -25,9 +25,7 @@ struct MLPOptions {
   bool overlap_input_grad_all_reduce = false;   ///< OAR
   bool overlap_weight_grad_reduce_scatter = false;  ///< ORS
   bool overlap_weight_all_gather = false;       ///< OAG
-  /// §V-C kernel tuning in every layer's GEMMs (see FCOptions).
-  bool kernel_tuning = false;
-  /// GEMM backend when kernel_tuning is off (see FCOptions::gemm_backend).
+  /// GEMM backend of every layer (see FCOptions::gemm_backend).
   GemmBackend gemm_backend = GemmBackend::kReference;
   bool gelu_between_layers = true;
   float init_std = 0.02f;

@@ -20,7 +20,6 @@ TensorParallelMLP::TensorParallelMLP(Grid4D& grid,
     fc.overlap_input_grad_all_reduce = options.overlap_input_grad_all_reduce;
     fc.overlap_weight_grad_reduce_scatter =
         options.overlap_weight_grad_reduce_scatter;
-    fc.kernel_tuning = options.kernel_tuning;
     fc.gemm_backend = options.gemm_backend;
     fc.init_std = options.init_std;
     layers_.push_back(std::make_unique<TensorParallelFC>(

@@ -5,9 +5,10 @@
 // Every FC layer performs one GEMM forward (NN: I x W) and two backward
 // (NT: dL/dO x W^T, and TN: I^T x dL/dO). BLAS libraries optimize these
 // modes unevenly — the paper found a TN kernel on MI250X running at 6% of
-// peak — which is why AxoNN auto-tunes the mode per matmul (§V-C). Here the
-// same operand-major layouts exist and the mode choice is observable, so the
-// tuner has something real to measure.
+// peak — which is why AxoNN auto-tunes the mode per matmul (§V-C). The tiled
+// backend packs operands, which resolves transposes before the kernel runs,
+// so the modes cost the same here; the §V-C choice is modelled in the
+// simulator (sim::SimOptions::kernel_tuning).
 
 #include <cstdint>
 #include <span>
@@ -51,8 +52,8 @@ const char* to_string(GemmBackend backend);
 
 /// The backend registry: every entry computes C = alpha * op(A) x op(B) +
 /// beta * C in fp32 (`run_fp32`) or with operands rounded through bf16 as
-/// consumed (`run_bf16`). The KernelTuner and the benches iterate this table
-/// so a new backend only needs one registration.
+/// consumed (`run_bf16`). The benches and tests iterate this table so a new
+/// backend only needs one registration.
 struct GemmBackendInfo {
   GemmBackend id;
   const char* name;
@@ -110,11 +111,10 @@ inline std::uint64_t gemm_flops(const GemmShape& s) {
 // Per-call dispatch statistics
 // ---------------------------------------------------------------------------
 
-/// What one GEMM dispatch actually ran. Before this existed only the
-/// KernelTuner recorded backend choices, so a trace could not attribute
-/// checksum (ABFT) overhead to the kernel it guarded; now every entry point —
-/// plain, explicit-backend, tiled and prepacked — records one of these per
-/// call on the calling thread.
+/// What one GEMM dispatch actually ran, so a trace can attribute checksum
+/// (ABFT) overhead to the kernel it guarded. Every entry point — plain,
+/// explicit-backend, tiled and prepacked — records one of these per call on
+/// the calling thread.
 struct GemmStats {
   GemmBackend backend = GemmBackend::kReference;
   GemmMode mode = GemmMode::kNN;

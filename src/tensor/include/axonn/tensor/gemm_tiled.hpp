@@ -89,8 +89,7 @@ void gemm_tiled_packed(bool trans_a, float alpha, const Matrix& a,
                        bool round_bf16);
 
 /// Convenience form that packs op(B) internally (pack cost included — the
-/// honest per-call cost the KernelTuner measures when no reusable pack
-/// exists).
+/// per-call cost when no reusable pack exists).
 void gemm_tiled(GemmMode mode, float alpha, const Matrix& a, const Matrix& b,
                 float beta, Matrix& c, bool round_bf16);
 

@@ -26,6 +26,15 @@ void accumulate_row(Matrix& row_matrix, const std::vector<float>& values) {
 
 constexpr float kNegInf = -1e9f;
 
+/// Index of the largest of row[0..n); the first maximum wins ties.
+std::size_t argmax(const float* row, std::size_t n) {
+  std::size_t best = 0;
+  for (std::size_t v = 1; v < n; ++v) {
+    if (row[v] > row[best]) best = v;
+  }
+  return best;
+}
+
 }  // namespace
 
 GPTModel::GPTModel(core::Grid4D& grid, const TinyGPTConfig& config)
@@ -56,7 +65,6 @@ GPTModel::GPTModel(core::Grid4D& grid, const TinyGPTConfig& config)
   fc.mixed_precision = config.mixed_precision;
   fc.overlap_input_grad_all_reduce = config.overlap_collectives;
   fc.overlap_weight_grad_reduce_scatter = config.overlap_collectives;
-  fc.kernel_tuning = config.kernel_tuning;
   fc.gemm_backend = config.gemm_backend;
   fc.init_std = config.init_std;
   fc.abft = config.abft;
@@ -115,8 +123,7 @@ void GPTModel::register_params(Adam& adam) {
     adam.add_param(&block.ln1_beta, &block.ln1_beta_grad);
     adam.add_param(&block.ln2_gamma, &block.ln2_gamma_grad);
     adam.add_param(&block.ln2_beta, &block.ln2_beta_grad);
-    for (auto* fc : {block.qkv.get(), block.attn_out.get(), block.mlp_up.get(),
-                     block.mlp_down.get()}) {
+    for (auto* fc : block.fcs()) {
       adam.add_param(&fc->mutable_weight_shard(),
                      &fc->mutable_weight_grad_shard());
     }
@@ -136,8 +143,7 @@ void GPTModel::for_each_parameter(const std::function<void(Matrix&)>& fn) {
     fn(block.ln1_beta);
     fn(block.ln2_gamma);
     fn(block.ln2_beta);
-    for (auto* fc : {block.qkv.get(), block.attn_out.get(), block.mlp_up.get(),
-                     block.mlp_down.get()}) {
+    for (auto* fc : block.fcs()) {
       fn(fc->mutable_weight_shard());
     }
   }
@@ -155,8 +161,7 @@ void GPTModel::for_each_gradient(const std::function<void(Matrix&)>& fn) {
     fn(block.ln1_beta_grad);
     fn(block.ln2_gamma_grad);
     fn(block.ln2_beta_grad);
-    for (auto* fc : {block.qkv.get(), block.attn_out.get(), block.mlp_up.get(),
-                     block.mlp_down.get()}) {
+    for (auto* fc : block.fcs()) {
       fn(fc->mutable_weight_grad_shard());
     }
   }
@@ -178,8 +183,7 @@ std::vector<GPTModel::ParamSpec> GPTModel::parameter_specs() const {
     replicated(block.ln1_beta);
     replicated(block.ln2_gamma);
     replicated(block.ln2_beta);
-    for (const auto* fc : {block.qkv.get(), block.attn_out.get(),
-                           block.mlp_up.get(), block.mlp_down.get()}) {
+    for (const auto* fc : block.fcs()) {
       // gx == gy == 1 (the supported grid family): the shard is a row chunk
       // of the full (in x out) weight, partitioned over Z.
       specs.push_back({true, fc->in_features(), fc->out_features()});
@@ -214,10 +218,8 @@ Matrix GPTModel::embed(const std::vector<TokenSeq>& sequences,
   return x;
 }
 
-Matrix GPTModel::attention_forward(Block& block, const Matrix& qkv_out,
-                                   std::size_t batch, std::size_t input_len,
-                                   BlockCache* cache) {
-  (void)block;
+Matrix GPTModel::attention_forward(const Matrix& qkv_out, std::size_t batch,
+                                   std::size_t input_len, BlockCache* cache) {
   obs::SpanGuard span(obs::kCatCompute, "attn_fwd");
   const auto h = static_cast<std::size_t>(config_.hidden);
   const auto dh = static_cast<std::size_t>(head_dim_);
@@ -269,10 +271,9 @@ Matrix GPTModel::attention_forward(Block& block, const Matrix& qkv_out,
   return concat;
 }
 
-Matrix GPTModel::attention_backward(Block& block, const BlockCache& cache,
+Matrix GPTModel::attention_backward(const BlockCache& cache,
                                     const Matrix& d_concat, std::size_t batch,
                                     std::size_t input_len) {
-  (void)block;
   obs::SpanGuard span(obs::kCatCompute, "attn_bwd");
   const auto h = static_cast<std::size_t>(config_.hidden);
   const auto dh = static_cast<std::size_t>(head_dim_);
@@ -334,10 +335,7 @@ Matrix GPTModel::forward_blocks(const Matrix& x0, std::size_t batch,
     // before compute starts; the progress thread streams them while the
     // compute below proceeds.
     for (Block& block : blocks_) {
-      block.qkv->begin_weight_gather();
-      block.attn_out->begin_weight_gather();
-      block.mlp_up->begin_weight_gather();
-      block.mlp_down->begin_weight_gather();
+      for (auto* fc : block.fcs()) fc->begin_weight_gather();
     }
   }
   Matrix x = x0;
@@ -351,8 +349,7 @@ Matrix GPTModel::forward_blocks(const Matrix& x0, std::size_t batch,
     c.ln1_out = layernorm(x, row_vector(block.ln1_gamma),
                           row_vector(block.ln1_beta), c.ln1);
     c.qkv_out = block.qkv->forward(c.ln1_out);
-    c.attn_concat =
-        attention_forward(block, c.qkv_out, batch, input_len, cache ? &c : &c);
+    c.attn_concat = attention_forward(c.qkv_out, batch, input_len, cache);
     Matrix attn_proj = block.attn_out->forward(c.attn_concat);
     c.after_attn = x;
     c.after_attn.add_inplace(attn_proj);
@@ -407,14 +404,7 @@ float GPTModel::train_step(const std::vector<TokenSeq>& sequences,
   const std::size_t input_len = full_len - 1;
   const std::size_t batch = sequences.size();
 
-  // Weights may have changed since the last gather (optimizer step through
-  // Adam's retained pointers): refresh the caches.
-  for (Block& block : blocks_) {
-    for (auto* fc : {block.qkv.get(), block.attn_out.get(), block.mlp_up.get(),
-                     block.mlp_down.get()}) {
-      fc->invalidate_weight_cache();
-    }
-  }
+  invalidate_fc_caches();
 
   std::vector<BlockCache> caches;
   Matrix x0, final_in, final_out;
@@ -469,7 +459,7 @@ float GPTModel::train_step(const std::vector<TokenSeq>& sequences,
 
     // Attention branch.
     Matrix d_concat = block.attn_out->backward(d_after_attn);
-    Matrix d_qkv = attention_backward(block, c, d_concat, batch, input_len);
+    Matrix d_qkv = attention_backward(c, d_concat, batch, input_len);
     Matrix d_ln1_out = block.qkv->backward(d_qkv);
     std::vector<float> dg1, db1;
     Matrix d_ln1_in = layernorm_backward(d_ln1_out, c.ln1,
@@ -501,12 +491,7 @@ float GPTModel::train_step(const std::vector<TokenSeq>& sequences,
 
 float GPTModel::evaluate_loss(const std::vector<TokenSeq>& sequences) {
   AXONN_CHECK(!sequences.empty());
-  for (Block& block : blocks_) {
-    for (auto* fc : {block.qkv.get(), block.attn_out.get(), block.mlp_up.get(),
-                     block.mlp_down.get()}) {
-      fc->invalidate_weight_cache();
-    }
-  }
+  invalidate_fc_caches();
   const std::size_t input_len = sequences.front().size() - 1;
   const Matrix logits =
       forward_logits(sequences, input_len, nullptr, nullptr, nullptr, nullptr,
@@ -522,25 +507,14 @@ float GPTModel::evaluate_loss(const std::vector<TokenSeq>& sequences) {
 
 TokenSeq GPTModel::greedy_generate(const TokenSeq& prompt, int new_tokens) {
   AXONN_CHECK(!prompt.empty());
-  for (Block& block : blocks_) {
-    for (auto* fc : {block.qkv.get(), block.attn_out.get(), block.mlp_up.get(),
-                     block.mlp_down.get()}) {
-      fc->invalidate_weight_cache();
-    }
-  }
+  invalidate_fc_caches();
   TokenSeq sequence = prompt;
   for (int step = 0; step < new_tokens; ++step) {
     AXONN_CHECK(sequence.size() <= static_cast<std::size_t>(config_.max_seq));
     const Matrix logits = forward_logits({sequence}, sequence.size(), nullptr,
                                          nullptr, nullptr, nullptr, nullptr);
-    const float* last = logits.row(logits.rows() - 1);
-    std::int32_t best = 0;
-    for (std::size_t v = 1; v < logits.cols(); ++v) {
-      if (last[v] > last[static_cast<std::size_t>(best)]) {
-        best = static_cast<std::int32_t>(v);
-      }
-    }
-    sequence.push_back(best);
+    sequence.push_back(static_cast<std::int32_t>(
+        argmax(logits.row(logits.rows() - 1), logits.cols())));
   }
   return sequence;
 }
@@ -548,12 +522,7 @@ TokenSeq GPTModel::greedy_generate(const TokenSeq& prompt, int new_tokens) {
 double GPTModel::probe_accuracy(const TokenSeq& document, int probe_tokens) {
   AXONN_CHECK(probe_tokens > 0 &&
               document.size() > static_cast<std::size_t>(probe_tokens));
-  for (Block& block : blocks_) {
-    for (auto* fc : {block.qkv.get(), block.attn_out.get(), block.mlp_up.get(),
-                     block.mlp_down.get()}) {
-      fc->invalidate_weight_cache();
-    }
-  }
+  invalidate_fc_caches();
   const std::size_t input_len = document.size() - 1;
   const Matrix logits = forward_logits({document}, input_len, nullptr, nullptr,
                                        nullptr, nullptr, nullptr);
@@ -561,44 +530,26 @@ double GPTModel::probe_accuracy(const TokenSeq& document, int probe_tokens) {
       document.size() - static_cast<std::size_t>(probe_tokens);
   int correct = 0;
   for (std::size_t pos = probe_begin; pos < document.size(); ++pos) {
-    const float* row = logits.row(pos - 1);
-    std::size_t best = 0;
-    for (std::size_t v = 1; v < logits.cols(); ++v) {
-      if (row[v] > row[best]) best = v;
-    }
+    // logits[i] predicts token i+1.
+    const std::size_t best = argmax(logits.row(pos - 1), logits.cols());
     if (static_cast<std::int32_t>(best) == document[pos]) ++correct;
   }
   return static_cast<double>(correct) / probe_tokens;
 }
 
 bool GPTModel::exact_match(const TokenSeq& document, int probe_tokens) {
-  AXONN_CHECK(probe_tokens > 0 &&
-              document.size() > static_cast<std::size_t>(probe_tokens));
   // Greedy generation reproduces the document iff, at every probe position,
   // the argmax given the *correct* prefix is the true next token (if all
   // argmaxes are correct, greedy decoding sees exactly the true prefix at
   // every step). One teacher-forced forward pass therefore decides the
   // §VIII-B exact-match event without token-by-token generation.
+  return probe_accuracy(document, probe_tokens) == 1.0;
+}
+
+void GPTModel::invalidate_fc_caches() {
   for (Block& block : blocks_) {
-    for (auto* fc : {block.qkv.get(), block.attn_out.get(), block.mlp_up.get(),
-                     block.mlp_down.get()}) {
-      fc->invalidate_weight_cache();
-    }
+    for (auto* fc : block.fcs()) fc->invalidate_weight_cache();
   }
-  const std::size_t input_len = document.size() - 1;
-  const Matrix logits = forward_logits({document}, input_len, nullptr, nullptr,
-                                       nullptr, nullptr, nullptr);
-  const std::size_t probe_begin =
-      document.size() - static_cast<std::size_t>(probe_tokens);
-  for (std::size_t pos = probe_begin; pos < document.size(); ++pos) {
-    const float* row = logits.row(pos - 1);  // logits[i] predicts token i+1
-    std::size_t best = 0;
-    for (std::size_t v = 1; v < logits.cols(); ++v) {
-      if (row[v] > row[best]) best = v;
-    }
-    if (static_cast<std::int32_t>(best) != document[pos]) return false;
-  }
-  return true;
 }
 
 void GPTModel::zero_grad() {
@@ -609,10 +560,7 @@ void GPTModel::zero_grad() {
     block.ln1_beta_grad.set_zero();
     block.ln2_gamma_grad.set_zero();
     block.ln2_beta_grad.set_zero();
-    block.qkv->zero_grad();
-    block.attn_out->zero_grad();
-    block.mlp_up->zero_grad();
-    block.mlp_down->zero_grad();
+    for (auto* fc : block.fcs()) fc->zero_grad();
   }
   final_gamma_grad_.set_zero();
   final_beta_grad_.set_zero();
@@ -635,8 +583,7 @@ void GPTModel::sync_gradients() {
   const float inv = 1.0f / static_cast<float>(replicas);
 
   for (Block& block : blocks_) {
-    for (auto* fc : {block.qkv.get(), block.attn_out.get(), block.mlp_up.get(),
-                     block.mlp_down.get()}) {
+    for (auto* fc : block.fcs()) {
       fc->finish_gradients();
       Matrix& grad = fc->mutable_weight_grad_shard();
       if (grid_.shape().gdata > 1) {

@@ -16,6 +16,7 @@
 // identical across ranks by summing their gradients over the Z and data
 // groups in sync_gradients().
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -41,12 +42,9 @@ struct TinyGPTConfig {
   std::uint64_t seed = 1;
   /// ORS/OAR/OAG on the FC sublayers.
   bool overlap_collectives = true;
-  /// §V-C kernel tuning on the FC sublayers' GEMMs (see FCOptions).
-  bool kernel_tuning = false;
-  /// Fixed GEMM backend for the FC sublayers when kernel_tuning is off
-  /// (ignored otherwise — the tuner picks per shape). kTiled exercises the
-  /// packed-panel path deterministically, which the memory benches/checker
-  /// use to make the packed_panels tag observable.
+  /// GEMM backend for the FC sublayers (see FCOptions::gemm_backend).
+  /// kTiled exercises the packed-panel path, which the memory
+  /// benches/checker use to make the packed_panels tag observable.
   GemmBackend gemm_backend = GemmBackend::kReference;
   /// ABFT checksum verification on every FC GEMM (see FCOptions::abft and
   /// DESIGN.md §9). Off by default; AXONN_INTEGRITY overrides per process.
@@ -131,6 +129,12 @@ class GPTModel {
     std::unique_ptr<core::TensorParallelFC> attn_out;
     std::unique_ptr<core::TensorParallelFC> mlp_up;
     std::unique_ptr<core::TensorParallelFC> mlp_down;
+
+    /// The four FC sublayers in register_params() order, which is the
+    /// checkpoint serialization order.
+    std::array<core::TensorParallelFC*, 4> fcs() const {
+      return {qkv.get(), attn_out.get(), mlp_up.get(), mlp_down.get()};
+    }
   };
 
   struct BlockCache {
@@ -150,18 +154,20 @@ class GPTModel {
   Matrix forward_blocks(const Matrix& x0, std::size_t batch,
                         std::size_t input_len,
                         std::vector<BlockCache>* caches);
-  Matrix attention_forward(Block& block, const Matrix& qkv_out,
-                           std::size_t batch, std::size_t input_len,
-                           BlockCache* cache);
-  Matrix attention_backward(Block& block, const BlockCache& cache,
-                            const Matrix& d_concat, std::size_t batch,
-                            std::size_t input_len);
+  Matrix attention_forward(const Matrix& qkv_out, std::size_t batch,
+                           std::size_t input_len, BlockCache* cache);
+  Matrix attention_backward(const BlockCache& cache, const Matrix& d_concat,
+                            std::size_t batch, std::size_t input_len);
   Matrix forward_logits(const std::vector<TokenSeq>& sequences,
                         std::size_t input_len,
                         std::vector<BlockCache>* caches, Matrix* x0_out,
                         LayerNormCache* final_ln_cache, Matrix* final_in,
                         Matrix* final_out);
 
+  /// Marks every FC sublayer's gathered-weight cache stale: weights may
+  /// have changed since the last gather (an optimizer step through Adam's
+  /// retained pointers).
+  void invalidate_fc_caches();
   void all_reduce_replicated(Matrix& grad);
 
   core::Grid4D& grid_;

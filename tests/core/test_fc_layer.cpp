@@ -234,66 +234,6 @@ TEST(FCLayerTest, WireBytesMatchPerfModelEquations) {
   });
 }
 
-TEST(FCLayerTest, KernelTunerRunsInTrainingHotPath) {
-  // FCOptions::kernel_tuning must route the real forward/backward GEMMs
-  // through the tuner. At 320x320 the semantic-NT dI GEMM (dO x W^T) is the
-  // paper's §V-C scenario: the NT kernel's inner loop strides through W, so
-  // the tuner must not stay on the strided reference-NT variant — either a
-  // transposed-copy reference variant or the tiled backend (which resolves
-  // the transpose at pack time) must win. Reference-backend winners are
-  // bit-identical to the untuned kernel; a tiled winner regroups the
-  // fp32 accumulation, so outputs match within tolerance.
-  const std::size_t in = 320, out = 320, rows = 32;
-  Rng rng_i(11), rng_d(12);
-  const Matrix full_input = Matrix::randn(rows, in, rng_i);
-  const Matrix full_dout = Matrix::randn(rows, out, rng_d);
-
-  comm::run_ranks(1, [&](comm::Communicator& world) {
-    Grid4D grid(world, sim::GridShape{1, 1, 1, 1});
-    FCOptions tuned_options;
-    tuned_options.kernel_tuning = true;
-    tuned_options.kernel_tuner_repeats = 2;
-    TensorParallelFC tuned(grid, in, out, kSeed, tuned_options);
-    TensorParallelFC plain(grid, in, out, kSeed);
-    ASSERT_NE(tuned.kernel_tuner(), nullptr);
-    EXPECT_EQ(plain.kernel_tuner(), nullptr);
-
-    const Matrix out_tuned = tuned.forward(full_input);
-    const Matrix din_tuned = tuned.backward(full_dout);
-    tuned.finish_gradients();
-    const Matrix out_plain = plain.forward(full_input);
-    const Matrix din_plain = plain.backward(full_dout);
-    plain.finish_gradients();
-
-    // The training path exercised the tuner: one decision per GEMM shape
-    // (NN forward, NT dI, TN dW).
-    const auto& decisions = tuned.kernel_tuner()->decisions();
-    EXPECT_EQ(decisions.size(), 3u);
-    bool saw_nt = false;
-    bool all_reference = true;
-    for (const auto& [key, choice] : decisions) {
-      if (choice.backend != GemmBackend::kReference) all_reference = false;
-      if (key.semantic_mode != GemmMode::kNT) continue;
-      saw_nt = true;
-      EXPECT_TRUE(choice.kernel_mode != GemmMode::kNT ||
-                  choice.backend == GemmBackend::kTiled)
-          << "at 320x320 some variant must beat the strided reference NT "
-             "kernel";
-      EXPECT_GT(choice.speedup(), 1.0);
-    }
-    EXPECT_TRUE(saw_nt) << "backward dI GEMM must reach the tuner";
-
-    // Reference variants are bit-exact; a tiled winner matches within
-    // accumulation-order tolerance.
-    const float tol = all_reference ? 0.0f : 1e-4f;
-    EXPECT_LE(Matrix::max_abs_diff(out_tuned, out_plain), tol);
-    EXPECT_LE(Matrix::max_abs_diff(din_tuned, din_plain), tol);
-    EXPECT_LE(Matrix::max_abs_diff(tuned.weight_grad_shard(),
-                                   plain.weight_grad_shard()),
-              tol);
-  });
-}
-
 TEST(FCLayerTest, TiledBackendMatchesReferenceAndRepacksAfterStep) {
   // With a fixed tiled backend the layer packs W once per gathered block and
   // reuses the panels across the forward (NN) and dI (NT) products. An

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <ostream>
 #include <thread>
 #include <vector>
 
@@ -123,6 +124,14 @@ struct HealCase {
   std::size_t elems;
   std::size_t segment;
 };
+
+// CTest names each case by GetParam()'s printed value. gtest's default dump
+// of a struct's raw bytes includes the padding after `ranks`, which holds
+// whatever was on the stack, so the case names changed from build to build.
+void PrintTo(const HealCase& c, std::ostream* os) {
+  *os << "ranks=" << c.ranks << " elems=" << c.elems
+      << " segment=" << c.segment;
+}
 
 class RingHealSizes : public ::testing::TestWithParam<HealCase> {};
 

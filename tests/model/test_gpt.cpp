@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "axonn/base/error.hpp"
 
 namespace axonn::model {
@@ -30,12 +33,15 @@ TEST(GPTConfigTest, UnknownModelThrows) {
 }
 
 // The nominal parameter counts in the model names must match the exact
-// layer-wise count within embedding-related slack.
-class ParamCountMatchesName
-    : public ::testing::TestWithParam<std::pair<const char*, double>> {};
+// layer-wise count within embedding-related slack. The name is a std::string
+// because CTest names each case by GetParam()'s printed value, and a
+// `const char*` prints as its (ASLR-randomized) address.
+using NamedSize = std::pair<std::string, double>;
+
+class ParamCountMatchesName : public ::testing::TestWithParam<NamedSize> {};
 
 TEST_P(ParamCountMatchesName, WithinTenPercent) {
-  const auto [name, billions] = GetParam();
+  const auto& [name, billions] = GetParam();
   const GPTConfig config = gpt_by_name(name);
   const double count = static_cast<double>(config.parameter_count());
   EXPECT_NEAR(count / 1e9, billions, billions * 0.10) << name;
@@ -43,12 +49,12 @@ TEST_P(ParamCountMatchesName, WithinTenPercent) {
 
 INSTANTIATE_TEST_SUITE_P(
     Zoo, ParamCountMatchesName,
-    ::testing::Values(std::pair{"GPT-5B", 5.0}, std::pair{"GPT-10B", 10.0},
-                      std::pair{"GPT-20B", 20.0}, std::pair{"GPT-40B", 40.0},
-                      std::pair{"GPT-60B", 60.0}, std::pair{"GPT-80B", 80.0},
-                      std::pair{"GPT-160B", 160.0},
-                      std::pair{"GPT-320B", 320.0},
-                      std::pair{"GPT-640B", 640.0}));
+    ::testing::Values(NamedSize{"GPT-5B", 5.0}, NamedSize{"GPT-10B", 10.0},
+                      NamedSize{"GPT-20B", 20.0}, NamedSize{"GPT-40B", 40.0},
+                      NamedSize{"GPT-60B", 60.0}, NamedSize{"GPT-80B", 80.0},
+                      NamedSize{"GPT-160B", 160.0},
+                      NamedSize{"GPT-320B", 320.0},
+                      NamedSize{"GPT-640B", 640.0}));
 
 TEST(GPTConfigTest, ApproxCountIsTwelveLHSquared) {
   const GPTConfig config = gpt_by_name("GPT-80B");

@@ -49,7 +49,7 @@ TEST_F(TraceTest, SpansPairUpInOrder) {
   begin_span(kCatComm, "inner");
   end_span();
   end_span();
-  counter(kCatTuner, "choices", 3.0);
+  counter(kCatIntegrity, "sdc_detected", 3.0);
   instant(kCatCheck, "marker");
 
   const auto events = my_events();
@@ -77,7 +77,7 @@ TEST_F(TraceTest, DisabledRecordingIsSilent) {
   set_enabled(false);
   begin_span(kCatCompute, "ignored");
   end_span();
-  counter(kCatTuner, "ignored", 1.0);
+  counter(kCatIntegrity, "ignored", 1.0);
   instant(kCatCheck, "ignored");
   EXPECT_TRUE(my_events().empty());
 }
@@ -138,7 +138,7 @@ TEST_F(TraceTest, FullRingDropsOldestAndCounts) {
 TEST_F(TraceTest, ChromeTraceWriterEmitsWellFormedEvents) {
   begin_span(kCatComm, "all_reduce(\"grid_x\")");  // quote needs escaping
   end_span();
-  counter(kCatTuner, "tuner_choice", 2.0);
+  counter(kCatIntegrity, "sdc_detected", 2.0);
   instant(kCatCheck, "divergence");
 
   std::ostringstream out;
