@@ -1,8 +1,8 @@
 // Micro-benchmarks of the real GEMM kernels over (backend x transpose mode).
 // The tiled backend packs op(A)/op(B) into contiguous panels and runs a
 // register-blocked micro-kernel, so its advantage over the reference loops
-// grows with size; `gemm/tiled_packed/*` additionally reuses a prebuilt B
-// panel, the FC layer's weight-cache path. `--json <path>` writes every
+// grows with size; every tiled series includes its per-call op(B) pack, as
+// the FC layers run it. `--json <path>` writes every
 // series (seconds/iteration, x = square dimension) as BENCH_micro_gemm.json,
 // and the run ends with the acceptance check: tiled vs reference at
 // 512x512x512 fp32 NN.
@@ -38,112 +38,89 @@ void report_gflops(benchmark::State& state, std::size_t d) {
       benchmark::Counter::kIsRate);
 }
 
-void BM_Gemm(benchmark::State& state, GemmBackend backend, GemmMode mode) {
+// The two kernels behind one signature, so each series names its kernel.
+void reference(GemmMode mode, const Matrix& a, const Matrix& b, Matrix& c,
+               bool bf16) {
+  if (bf16) {
+    gemm_bf16(mode, 1.0f, a, b, 0.0f, c);
+  } else {
+    gemm(mode, 1.0f, a, b, 0.0f, c);
+  }
+}
+void tiled(GemmMode mode, const Matrix& a, const Matrix& b, Matrix& c,
+           bool bf16) {
+  gemm_tiled(mode, 1.0f, a, b, 0.0f, c, bf16);
+}
+using Kernel = void (*)(GemmMode, const Matrix&, const Matrix&, Matrix&, bool);
+
+void BM_Gemm(benchmark::State& state, Kernel kernel, GemmMode mode) {
   const auto d = static_cast<std::size_t>(state.range(0));
   const Matrix a = square_operand(d, 1);
   const Matrix b = square_operand(d, 2);
   Matrix c(d, d);
   for (auto _ : state) {
-    gemm(backend, mode, 1.0f, a, b, 0.0f, c);
+    kernel(mode, a, b, c, /*bf16=*/false);
     benchmark::DoNotOptimize(c.data());
   }
   report_gflops(state, d);
 }
 
-void BM_GemmBf16(benchmark::State& state, GemmBackend backend, GemmMode mode) {
+void BM_GemmBf16(benchmark::State& state, Kernel kernel, GemmMode mode) {
   const auto d = static_cast<std::size_t>(state.range(0));
   const Matrix a = square_operand(d, 3);
   const Matrix b = square_operand(d, 4);
   Matrix c(d, d);
   for (auto _ : state) {
-    gemm_bf16(backend, mode, 1.0f, a, b, 0.0f, c);
+    kernel(mode, a, b, c, /*bf16=*/true);
     benchmark::DoNotOptimize(c.data());
   }
   report_gflops(state, d);
 }
 
-// The FC hot path: B (the weight) is packed once and reused every batch.
-void BM_GemmTiledPacked(benchmark::State& state, GemmMode mode) {
-  const auto d = static_cast<std::size_t>(state.range(0));
-  const Matrix a = square_operand(d, 5);
-  const Matrix b = square_operand(d, 6);
-  const PackedB pack = pack_b(b, gemm_transposes_b(mode), false);
-  Matrix c(d, d);
-  for (auto _ : state) {
-    gemm_tiled_packed(gemm_transposes_a(mode), 1.0f, a, pack, 0.0f, c, false);
-    benchmark::DoNotOptimize(c.data());
-  }
-  report_gflops(state, d);
-}
-
-// Intra-rank threading (DESIGN.md §13): the prepacked NN product at a fixed
+// Intra-rank threading (DESIGN.md §13): the tiled NN product at a fixed
 // worker-lane budget. Identical math and bitwise-identical output at every
 // lane count, so the series differ only in wall time.
 void BM_GemmTiledThreads(benchmark::State& state, int threads) {
   const auto d = static_cast<std::size_t>(state.range(0));
   const Matrix a = square_operand(d, 5);
   const Matrix b = square_operand(d, 6);
-  const PackedB pack = pack_b(b, false, false);
   Matrix c(d, d);
   GemmThreadScope scope(threads);
   for (auto _ : state) {
-    gemm_tiled_packed(false, 1.0f, a, pack, 0.0f, c, false);
+    gemm_tiled(GemmMode::kNN, 1.0f, a, b, 0.0f, c, false);
     benchmark::DoNotOptimize(c.data());
   }
   report_gflops(state, d);
 }
 
-// Pack cost itself — what the weight cache amortizes away.
-void BM_PackB(benchmark::State& state) {
-  const auto d = static_cast<std::size_t>(state.range(0));
-  const Matrix b = square_operand(d, 7);
-  for (auto _ : state) {
-    PackedB pack = pack_b(b, false, false);
-    benchmark::DoNotOptimize(&pack);
-  }
-}
-
-#define AXONN_GEMM_BENCH(backend, mode)                                     \
-  BENCHMARK_CAPTURE(BM_Gemm, backend##_##mode, GemmBackend::k##backend,     \
-                    GemmMode::k##mode)                                      \
-      ->Name("gemm/" #backend "/" #mode)                                    \
+#define AXONN_GEMM_BENCH(kernel, name, mode)                                \
+  BENCHMARK_CAPTURE(BM_Gemm, name##_##mode, &kernel, GemmMode::k##mode)     \
+      ->Name("gemm/" #name "/" #mode)                                       \
       ->Arg(128)                                                            \
       ->Arg(256)                                                            \
       ->Arg(512)                                                            \
       ->Unit(benchmark::kMillisecond)
 
-AXONN_GEMM_BENCH(Reference, NN);
-AXONN_GEMM_BENCH(Reference, NT);
-AXONN_GEMM_BENCH(Reference, TN);
-AXONN_GEMM_BENCH(Tiled, NN);
-AXONN_GEMM_BENCH(Tiled, NT);
-AXONN_GEMM_BENCH(Tiled, TN);
+AXONN_GEMM_BENCH(reference, Reference, NN);
+AXONN_GEMM_BENCH(reference, Reference, NT);
+AXONN_GEMM_BENCH(reference, Reference, TN);
+AXONN_GEMM_BENCH(tiled, Tiled, NN);
+AXONN_GEMM_BENCH(tiled, Tiled, NT);
+AXONN_GEMM_BENCH(tiled, Tiled, TN);
 
 #undef AXONN_GEMM_BENCH
 
 // The bf16 grid runs the full size ladder including the 512 headline size —
 // anything the fp32 acceptance gates, the bf16 series must cover too.
-BENCHMARK_CAPTURE(BM_GemmBf16, Reference_NN, GemmBackend::kReference,
-                  GemmMode::kNN)
+BENCHMARK_CAPTURE(BM_GemmBf16, Reference_NN, &reference, GemmMode::kNN)
     ->Name("gemm_bf16/Reference/NN")
     ->Arg(128)
     ->Arg(256)
     ->Arg(512)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_GemmBf16, Tiled_NN, GemmBackend::kTiled, GemmMode::kNN)
+BENCHMARK_CAPTURE(BM_GemmBf16, Tiled_NN, &tiled, GemmMode::kNN)
     ->Name("gemm_bf16/Tiled/NN")
     ->Arg(128)
-    ->Arg(256)
-    ->Arg(512)
-    ->Unit(benchmark::kMillisecond);
-
-BENCHMARK_CAPTURE(BM_GemmTiledPacked, NN, GemmMode::kNN)
-    ->Name("gemm/TiledPacked/NN")
-    ->Arg(256)
-    ->Arg(512)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_GemmTiledPacked, NT, GemmMode::kNT)
-    ->Name("gemm/TiledPacked/NT")
     ->Arg(256)
     ->Arg(512)
     ->Unit(benchmark::kMillisecond);
@@ -160,8 +137,6 @@ AXONN_GEMM_THREADS_BENCH(2);
 AXONN_GEMM_THREADS_BENCH(4);
 
 #undef AXONN_GEMM_THREADS_BENCH
-
-BENCHMARK(BM_PackB)->Name("pack_b")->Arg(512)->Unit(benchmark::kMillisecond);
 
 /// Console reporter that additionally captures every run into the JSON
 /// series writer. Run names are "series/name/<dim>": the trailing numeric

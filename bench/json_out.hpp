@@ -5,7 +5,8 @@
 // be tracked across PRs. Schema:
 //
 //   {"benchmark": "<name>",
-//    "flavor": {"isa": "...", "native_arch": "...", "_hw_threads": "..."},
+//    "flavor": {"_compiler": "...", "isa": "...", "native_arch": "...",
+//               "_hw_threads": "..."},
 //    "series": [{"name": "...", "units": "...",
 //                "points": [{"x": ..., "y": ...}, ...]}, ...]}
 //
@@ -13,7 +14,9 @@
 // measured under. tools/bench_compare.py refuses to diff files whose flavors
 // disagree — a portable-tier smoke run versus a native-arch run is not a
 // regression, it is a different machine. Keys with a leading underscore are
-// informational only and excluded from that comparison.
+// informational only and excluded from that comparison; every file carries
+// "_compiler", the compiler that built the binary (the reference kernel's
+// speed moves with it).
 //
 // Human-readable tables on stdout are unchanged; JSON is additive.
 
@@ -29,7 +32,9 @@ namespace axonn::bench {
 class JsonSeriesWriter {
  public:
   explicit JsonSeriesWriter(std::string benchmark_name)
-      : benchmark_name_(std::move(benchmark_name)) {}
+      : benchmark_name_(std::move(benchmark_name)) {
+    set_flavor("_compiler", compiler_id());
+  }
 
   void add(const std::string& series, double x, double y,
            const std::string& units = "s") {
@@ -102,6 +107,20 @@ class JsonSeriesWriter {
     double x = 0;
     double y = 0;
   };
+
+  static std::string compiler_id() {
+#if defined(__clang__)
+    return "clang " + std::to_string(__clang_major__) + "." +
+           std::to_string(__clang_minor__) + "." +
+           std::to_string(__clang_patchlevel__);
+#elif defined(__GNUC__)
+    return "gcc " + std::to_string(__GNUC__) + "." +
+           std::to_string(__GNUC_MINOR__) + "." +
+           std::to_string(__GNUC_PATCHLEVEL__);
+#else
+    return "unknown";
+#endif
+  }
 
   static std::string quoted(const std::string& s) {
     std::string q = "\"";

@@ -7,9 +7,16 @@
 // algorithm trains correctly.
 //
 //   $ ./quickstart
-//   step 0: loss 2.773
+//   step  0: loss 962.4898
+//   step  5: loss 938.0554
 //   ...
-//   step 29: loss 0.8...
+//   step 25: loss 269.3302
+//
+//   collectives issued: 120 all-reduces, 60 all-gathers, 60 reduce-scatters
+//   (0.2 MB on the wire per rank)
+//
+// (default RelWithDebInfo build; other optimization flags can move the last
+// printed digit.)
 //
 // Set AXONN_TRACE=out.json to record every step with the flight recorder
 // (axonn::obs): the written Chrome trace (chrome://tracing / Perfetto)

@@ -9,9 +9,11 @@
 #   3. TSan tree, `ctest -L tsan` (comm, fault-tolerance, elastic membership,
 #      and the obs/metrics suites — the registry's sharded snapshot path and
 #      the membership state machine race for real there)
-#   4. bench-smoke (`ctest -L bench`) + tools/bench_compare.py against the
-#      checked-in BENCH_*.json baselines (incl. BENCH_recovery.json: elastic
-#      MTTR vs the full-restart baseline)
+#   4. bench-smoke (`ctest -L bench`, fresh results in build/bench/) +
+#      tools/bench_compare.py against the checked-in BENCH_*.json baselines
+#      at the repo root (incl. BENCH_recovery.json: elastic MTTR vs the
+#      full-restart baseline). Rebaselining is a deliberate copy of
+#      build/bench/BENCH_*.json over the root files, never a side effect.
 #   5. bench_e2e smoke (`python3 bench_e2e/run.py --smoke`): every repo
 #      benchmark workload at toy size, traced and untraced
 #
@@ -41,11 +43,9 @@ stage() { printf '\n==== %s ====\n' "$*"; }
 stage "tier-1: plain tree, full suite"
 cmake -B build -S . >/dev/null
 cmake --build build -j "$jobs"
-# -LE bench: the bench-smoke tests overwrite the repo-root BENCH_*.json
-# trajectories, and running them here — in parallel with the whole suite —
-# would replace the checked-in baselines with load-contaminated numbers
-# *before* the bench stage below snapshots them. They run serially (and get
-# gated) in that stage instead.
+# -LE bench: the bench-smoke tests time kernels, and running them here — in
+# parallel with the whole suite — would gate load-contaminated numbers. They
+# run serially (and get gated) in the bench stage below instead.
 ctest --test-dir build --output-on-failure -j "$jobs" -LE bench
 
 stage "tier-1: elastic-recovery acceptance (ctest -L elastic)"
@@ -82,18 +82,13 @@ fi
 
 if [[ "$skip_bench" == 0 ]]; then
   stage "bench-smoke + bench_compare gate"
-  # The smoke runs overwrite the repo-root BENCH_*.json trajectory files, so
-  # snapshot the checked-in baselines first and diff fresh-vs-baseline.
-  baseline_dir="$(mktemp -d)"
-  trap 'rm -rf "$baseline_dir"' EXIT
-  for f in BENCH_micro_gemm.json BENCH_micro_comm.json BENCH_fig5_overlap.json \
-           BENCH_recovery.json BENCH_memory.json; do
-    [[ -f "$f" ]] && cp "$f" "$baseline_dir/"
-  done
+  # The smoke runs write fresh results to build/bench/; the checked-in
+  # repo-root files are the baselines they are gated against.
+  fresh_dir=build/bench
   ctest --test-dir build -L bench --output-on-failure
   for f in BENCH_micro_gemm.json BENCH_micro_comm.json BENCH_fig5_overlap.json \
            BENCH_recovery.json BENCH_memory.json; do
-    if [[ -f "$baseline_dir/$f" ]]; then
+    if [[ -f "$f" ]]; then
       # fig5's derived ratio series (overlap efficiency, pipelining reduction
       # pct) divide tiny timed quantities and swing wildly in a 7-iteration
       # smoke run; gate only the deterministic sim series and the stable
@@ -118,11 +113,11 @@ if [[ "$skip_bench" == 0 ]]; then
           python3 tools/bench_compare.py \
             --series '^real/pipelined/overlap_efficiency' \
             --threshold 50 --min-abs 0.25 \
-            "$baseline_dir/$f" "$f"
+            "$f" "$fresh_dir/$f"
           python3 tools/bench_compare.py \
             --series '^real/pipelining_exposed_comm_reduction_pct' \
             --threshold 40 --min-abs 15 \
-            "$baseline_dir/$f" "$f"
+            "$f" "$fresh_dir/$f"
           ;;
         BENCH_micro_gemm.json)
           # Threaded-GEMM gate (ISSUE 8): the intra-rank worker-lane series
@@ -135,7 +130,7 @@ if [[ "$skip_bench" == 0 ]]; then
           # native-arch setting: a different machine, not a regression).
           python3 tools/bench_compare.py \
             --series '^gemm/TiledT[0-9]+/' --threshold 120 \
-            "$baseline_dir/$f" "$f"
+            "$f" "$fresh_dir/$f"
           gate_args=(--threshold 120) ;;
         BENCH_micro_comm.json)
           gate_args=(--threshold 120) ;;
@@ -153,7 +148,7 @@ if [[ "$skip_bench" == 0 ]]; then
           # divergence is named by the gate that owns it.
           python3 tools/bench_compare.py \
             --series '^mem/model_rel_error/' --threshold 50 --min-abs 0.05 \
-            "$baseline_dir/$f" "$f"
+            "$f" "$fresh_dir/$f"
           # The per-tag high-water marks are byte-deterministic (same tiny
           # GPT, same step count, thread-rank world), so a tight threshold
           # holds the memory trajectory; the 4 KiB floor forgives header
@@ -162,7 +157,7 @@ if [[ "$skip_bench" == 0 ]]; then
           gate_args=(--series '^mem/hwm/' --threshold 25 --min-abs 4096) ;;
       esac
       python3 tools/bench_compare.py "${gate_args[@]+"${gate_args[@]}"}" \
-        "$baseline_dir/$f" "$f"
+        "$f" "$fresh_dir/$f"
     else
       echo "bench_compare: no checked-in baseline for $f (first run?)"
     fi

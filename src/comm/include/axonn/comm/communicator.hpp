@@ -43,7 +43,7 @@ enum class ReduceOp { kSum, kMax, kMin };
 ///             (e.g. the backward dI all-reduce, OAR: the previous layer's
 ///             backward needs it next).
 ///   kNormal — prefetches consumed a layer ahead (e.g. the OAG weight
-///             all-gather and its pre-pack).
+///             all-gather).
 ///   kBulk   — results not needed until the end of the step (e.g. the dW
 ///             reduce-scatter, ORS: consumed at finish_gradients()).
 enum class CommPriority { kHigh = 0, kNormal = 1, kBulk = 2 };

@@ -6,6 +6,7 @@
 #include "axonn/base/arena.hpp"
 #include "axonn/base/error.hpp"
 #include "axonn/base/trace.hpp"
+#include "axonn/tensor/gemm_tiled.hpp"
 
 namespace axonn::core {
 
@@ -64,34 +65,15 @@ Range TensorParallelFC::input_row_range(std::size_t total_rows) const {
                      static_cast<std::size_t>(grid_.z()));
 }
 
-const PackedB* TensorParallelFC::weight_pack_for(GemmMode mode) {
-  AXONN_CHECK_MSG(mode == GemmMode::kNN || mode == GemmMode::kNT,
-                  "only the forward (NN) and dI (NT) products consume W");
-  const bool transpose = mode == GemmMode::kNT;
-  PackedB& slot = transpose ? packed_weight_t_ : packed_weight_n_;
-  if (slot.empty()) {
-    obs::SpanGuard span(obs::kCatCompute, "pack_weight");
-    slot = pack_b(cached_weight_block_, transpose, options_.mixed_precision);
-  }
-  return &slot;
-}
-
 Matrix TensorParallelFC::multiply(GemmMode mode, const Matrix& a,
-                                  const Matrix& b, bool b_is_weight) {
-  // The per-layer lane budget (if any) wraps the whole dispatch.
-  GemmThreadScope gemm_lanes(options_.gemm_threads);
-  const bool tiled = options_.gemm_backend == GemmBackend::kTiled;
-  const PackedB* pack = tiled && b_is_weight ? weight_pack_for(mode) : nullptr;
+                                  const Matrix& b) {
   // ABFT (integrity/abft.hpp) wraps whichever kernel runs below: checksums
   // are predicted from (a, b) before the kernel and verified against c after,
-  // so every path — tiled prepacked, tiled, reference, bf16 — is covered by
-  // the same identity. With abft.mode off (the default) the wrapper invokes
-  // the kernel once and returns, bit-identical to the unwrapped dispatch.
+  // so every path — tiled, reference, bf16 — is covered by the same
+  // identity. With abft.mode off (the default) the wrapper invokes the
+  // kernel once and returns, bit-identical to the unwrapped dispatch.
   const auto compute = [&](Matrix& out) {
-    if (pack != nullptr) {
-      gemm_tiled_packed(gemm_transposes_a(mode), 1.0f, a, *pack, 0.0f, out,
-                        options_.mixed_precision);
-    } else if (tiled) {
+    if (options_.gemm_backend == GemmBackend::kTiled) {
       gemm_tiled(mode, 1.0f, a, b, 0.0f, out, options_.mixed_precision);
     } else if (options_.mixed_precision) {
       gemm_bf16(mode, 1.0f, a, b, 0.0f, out);
@@ -113,11 +95,6 @@ void TensorParallelFC::discard_stale_prefetch() {
     pending_weight_gather_->wait();
     pending_weight_gather_.reset();
   }
-  if (pending_weight_pack_) {
-    pending_weight_pack_->wait();
-    pending_weight_pack_.reset();
-  }
-  prefetch_packed_n_.clear();
 }
 
 void TensorParallelFC::begin_weight_gather() {
@@ -141,42 +118,21 @@ void TensorParallelFC::begin_weight_gather() {
   pending_weight_gather_ = grid_.z_comm().iall_gatherv(
       std::span<const float>(prefetch_send_buffer_.storage()),
       std::span<float>(prefetch_block_.storage()), z_elem_counts_);
-  // Pre-pack the forward (NN) panel on the same lane: FIFO order puts it
-  // right after the gather lands, so the prefetch arrives ready for the
-  // tiled kernel with no pack on the critical path.
-  if (options_.gemm_backend == GemmBackend::kTiled) {
-    pending_weight_pack_ = grid_.z_comm().run_on_stream([this] {
-      obs::SpanGuard span(obs::kCatCompute, "prefetch_pack_weight");
-      prefetch_packed_n_ =
-          pack_b(prefetch_block_, /*transpose=*/false, options_.mixed_precision);
-    });
-  }
 }
 
 void TensorParallelFC::gather_weights_into_cache() {
   if (weight_cache_valid_) return;
-  // Fresh gather: any packed panels derived from the old block are stale.
-  packed_weight_n_.clear();
-  packed_weight_t_.clear();
   if (pending_weight_gather_) {
     const bool fresh = prefetch_version_ == weight_version_;
     {
       // OAG window closes: time the compute thread spends here is the
-      // exposed remainder of the prefetched all-gather. Wait the gather
-      // first so a transport error surfaces from the collective, not the
-      // dependent pack.
+      // exposed remainder of the prefetched all-gather.
       obs::SpanGuard wait(obs::kCatWait, "AG_z.wait");
       pending_weight_gather_->wait();
       pending_weight_gather_.reset();
-      if (pending_weight_pack_) {
-        pending_weight_pack_->wait();
-        pending_weight_pack_.reset();
-      }
     }
     if (fresh) {
       cached_weight_block_ = std::move(prefetch_block_);
-      packed_weight_n_ = std::move(prefetch_packed_n_);
-      prefetch_packed_n_.clear();
       weight_cache_valid_ = true;
       return;
     }
@@ -184,7 +140,6 @@ void TensorParallelFC::gather_weights_into_cache() {
     // pre-update weights — drop it and fall through to a fresh blocking
     // gather of the current shard. This is the bug the version pair exists
     // to close: the old path adopted whatever the prefetch brought back.
-    prefetch_packed_n_.clear();
   }
   const mem::ArenaScope scope(mem::Tag::kWeights);
   cached_weight_block_ = Matrix(in_range_.size(), out_range_.size());
@@ -201,8 +156,7 @@ Matrix TensorParallelFC::forward(const Matrix& input_local) {
   Matrix output;
   {
     obs::SpanGuard span(obs::kCatCompute, "fwd_gemm");
-    output = multiply(GemmMode::kNN, input_local, cached_weight_block_,
-                      /*b_is_weight=*/true);
+    output = multiply(GemmMode::kNN, input_local, cached_weight_block_);
   }
   row_comm().all_reduce(std::span<float>(output.storage()),
                         comm::ReduceOp::kSum);
@@ -223,8 +177,8 @@ Matrix TensorParallelFC::backward(const Matrix& grad_output_local) {
   Matrix grad_input;
   {
     obs::SpanGuard span(obs::kCatCompute, "bwd_dI_gemm");
-    grad_input = multiply(GemmMode::kNT, grad_output_local,
-                          cached_weight_block_, /*b_is_weight=*/true);
+    grad_input =
+        multiply(GemmMode::kNT, grad_output_local, cached_weight_block_);
   }
 
   std::optional<comm::Request> dI_request;

@@ -30,7 +30,6 @@
 #include "axonn/core/grid4d.hpp"
 #include "axonn/integrity/abft.hpp"
 #include "axonn/tensor/gemm.hpp"
-#include "axonn/tensor/gemm_tiled.hpp"
 #include "axonn/tensor/matrix.hpp"
 
 namespace axonn::core {
@@ -45,23 +44,16 @@ struct FCOptions {
   /// finish_gradients().
   bool overlap_weight_grad_reduce_scatter = false;
   /// GEMM backend for the layer's three products: kReference runs the
-  /// seed's scalar kernel unchanged (bit-identical results); kTiled runs the
-  /// packed-panel backend, reusing the layer's pack-once weight panel cache
-  /// for the forward (NN) and dI (NT) products. Packing resolves operand
+  /// seed's scalar kernel unchanged (bit-identical results); kTiled runs
+  /// gemm_tiled(), which packs op(B) per call. Packing resolves operand
   /// transposes, so there is no per-mode kernel choice left to make here;
   /// the paper's §V-C mode tuning is modelled in sim::SimOptions.
   GemmBackend gemm_backend = GemmBackend::kReference;
-  /// Intra-rank GEMM worker lanes for this layer's three GEMMs: a
-  /// GemmThreadScope installed around multiply() while > 0, overriding the
-  /// ambient budget (WorldOptions::gemm_threads / AXONN_GEMM_THREADS).
-  /// 0 (default) defers to the ambient budget. Bitwise-neutral — the tiled
-  /// backend's output is identical at any lane count (DESIGN.md §13).
-  int gemm_threads = 0;
   /// Weight init: N(0, init_std^2), identical on every rank by seed.
   float init_std = 0.02f;
   /// ABFT (Huang–Abraham checksum) verification around the layer's three
   /// GEMMs — forward NN, backward-dI NT, backward-dW TN — covering every
-  /// execution path (reference, tiled, prepacked panels, bf16). abft.mode
+  /// execution path (reference, tiled, bf16). abft.mode
   /// is resolved against the AXONN_INTEGRITY override per call; kHeal
   /// recomputes a mismatching GEMM in place of failing. See
   /// integrity/abft.hpp and DESIGN.md §9.
@@ -132,9 +124,8 @@ class TensorParallelFC {
   const Matrix& weight_shard() const { return weight_shard_; }
   Matrix& mutable_weight_shard();
 
-  /// Marks the gathered-weight cache stale — and with it the packed weight
-  /// panels, which are derived from the gathered block. Must be called after
-  /// mutating the shard through a retained pointer (e.g. an optimizer step);
+  /// Marks the gathered-weight cache stale. Must be called after mutating
+  /// the shard through a retained pointer (e.g. an optimizer step);
   /// mutable_weight_shard() does this automatically for direct access.
   /// Non-blocking: an in-flight OAG prefetch keeps running (it reads its own
   /// snapshot of the shard, never the live storage), but the version bump
@@ -143,8 +134,6 @@ class TensorParallelFC {
   void invalidate_weight_cache() {
     weight_cache_valid_ = false;
     ++weight_version_;
-    packed_weight_n_.clear();
-    packed_weight_t_.clear();
   }
   const Matrix& weight_grad_shard() const;
   /// Mutable gradient access for optimizers / the data-parallel all-reduce.
@@ -181,14 +170,8 @@ class TensorParallelFC {
     return options_.transposed ? grid_.shape().gy : grid_.shape().gx;
   }
 
-  /// Runs one of the layer's GEMMs. `b_is_weight` marks products whose
-  /// op(B) is the gathered weight block (forward NN, backward-dI NT): those
-  /// reuse the pack-once weight panel cache when the tiled backend runs.
-  Matrix multiply(GemmMode mode, const Matrix& a, const Matrix& b,
-                  bool b_is_weight = false);
-  /// The packed-panel slot for `mode` (kNN packs W, kNT packs W^T), packing
-  /// the gathered weight block lazily on first use.
-  const PackedB* weight_pack_for(GemmMode mode);
+  /// Runs one of the layer's GEMMs on the configured backend, under ABFT.
+  Matrix multiply(GemmMode mode, const Matrix& a, const Matrix& b);
   void gather_weights_into_cache();
   /// Completes and drops an in-flight prefetch whose snapshot predates the
   /// current weight version (the buffers must not be reused while the
@@ -212,14 +195,9 @@ class TensorParallelFC {
   Matrix cached_weight_block_;  ///< gathered (in_local x out_local)
   bool weight_cache_valid_ = false;
   Matrix cached_input_;
-  // Pack-once weight panel cache for the tiled backend: op(B) = W for the
-  // forward NN product and op(B) = W^T for the backward-dI NT product.
-  // Packed lazily per gathered weight, invalidated with the gathered cache.
-  PackedB packed_weight_n_;
-  PackedB packed_weight_t_;
 
   // OAG prefetch double-buffer (DESIGN.md §12). The async gather owns these
-  // three buffers exclusively until its Request completes: it reads
+  // two buffers exclusively until its Request completes: it reads
   // prefetch_send_buffer_ (a snapshot of the shard copied on the issuing
   // thread — the progress lane never touches the live weight_shard_, so an
   // optimizer step cannot race it) and writes prefetch_block_ (never the
@@ -228,13 +206,11 @@ class TensorParallelFC {
   // an older prefetch_version_ is drained and discarded, never adopted.
   Matrix prefetch_send_buffer_;
   Matrix prefetch_block_;
-  PackedB prefetch_packed_n_;  ///< pre-packed on the lane after the gather
   std::uint64_t weight_version_ = 0;
   std::uint64_t prefetch_version_ = 0;
 
   // In-flight collectives.
   std::optional<comm::Request> pending_weight_gather_;
-  std::optional<comm::Request> pending_weight_pack_;  ///< same lane, after gather
   std::optional<comm::Request> pending_reduce_scatter_;
   Matrix rs_send_buffer_;  ///< must outlive the async reduce-scatter
   Matrix rs_recv_buffer_;

@@ -98,22 +98,21 @@ MemoryPrediction predict_memory(const MemoryModelConfig& config) {
       22 * R * h + 2 * R * v + h * v;
   set(mem::Tag::kActivations, kFloatBytes * W * act_elems);
 
-  // -- packed panels (gemm_tiled.cpp, fc_layer.cpp weight_pack_for) ---------
-  // Steady state per rank (tiled backend): one NN pack (in x ru16(out)) and
-  // one NT pack (out x ru16(in)) per FC, rebuilt every step after the
-  // optimizer invalidates the weight cache. Peak adds the transient dO pack
-  // of the last dW GEMM of the step (qkv: R x ru16(3h) — by then every
-  // weight pack of the step has been rebuilt) and the per-lane A-pack
-  // scratch (ceil(kBlockM/kTileMR)*kTileMR*kBlockK = 96*256 floats).
+  // -- packed panels (gemm_tiled.cpp) ---------------------------------------
+  // Tiled backend only. gemm_tiled() packs op(B) per call and frees it on
+  // return, so the peak is the largest single pack over the step's FC
+  // products — W (in x ru16(out)) forward, W^T (out x ru16(in)) for dI,
+  // dO (R x ru16(out)) for dW — plus the per-lane A-pack scratch that lives
+  // beside it (ceil(kBlockM/kTileMR)*kTileMR*kBlockK = 96*256 floats).
   if (config.tiled_backend) {
-    double steady = 0;
+    double largest_pack = 0;
     for (const FcDims& fc : block_fcs(h)) {
-      steady += fc.in * ru16(fc.out) + fc.out * ru16(fc.in);
+      largest_pack = std::max({largest_pack, fc.in * ru16(fc.out),
+                               fc.out * ru16(fc.in), R * ru16(fc.out)});
     }
-    steady *= L;
-    const double transient =
-        R * ru16(3 * h) + static_cast<double>(config.gemm_lanes) * 96.0 * 256.0;
-    set(mem::Tag::kPackedPanels, kFloatBytes * W * (steady + transient));
+    const double a_scratch =
+        static_cast<double>(config.gemm_lanes) * 96.0 * 256.0;
+    set(mem::Tag::kPackedPanels, kFloatBytes * W * (largest_pack + a_scratch));
   }
 
   // -- comm buffers (fc_layer.cpp backward) ---------------------------------

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "axonn/tensor/bf16.hpp"
-#include "axonn/tensor/gemm_tiled.hpp"
 
 namespace axonn {
 
@@ -94,14 +93,11 @@ void gemm_impl(GemmMode mode, float alpha, const Matrix& a, const Matrix& b,
   gemm_kernel(s, alpha, load_a, load_b, beta, c);
 }
 
-// Per-thread dispatch statistics (see gemm.hpp). `depth` implements the
-// outermost-frame-only rule: the registry thunks and gemm_tiled delegate to
-// other public entry points, which must not double-count.
+// Per-thread dispatch statistics (see gemm.hpp).
 struct DispatchState {
   GemmStats last;
   std::uint64_t count = 0;
   std::uint64_t flops = 0;
-  int depth = 0;
 };
 
 thread_local DispatchState t_dispatch;
@@ -111,34 +107,26 @@ thread_local DispatchState t_dispatch;
 const GemmStats& last_gemm_stats() { return t_dispatch.last; }
 std::uint64_t gemm_dispatch_count() { return t_dispatch.count; }
 std::uint64_t gemm_dispatch_flops() { return t_dispatch.flops; }
-void reset_gemm_dispatch_stats() {
-  const int depth = t_dispatch.depth;
-  t_dispatch = DispatchState{};
-  t_dispatch.depth = depth;
-}
+void reset_gemm_dispatch_stats() { t_dispatch = DispatchState{}; }
 
 namespace detail {
 
-GemmDispatchScope::GemmDispatchScope(GemmBackend backend, GemmMode mode,
-                                     const GemmShape& shape, bool bf16,
-                                     GemmIsa isa, int threads) {
+void record_gemm_dispatch(GemmBackend backend, GemmMode mode,
+                          const GemmShape& shape, bool bf16, GemmIsa isa,
+                          int threads) {
   DispatchState& st = t_dispatch;
-  if (st.depth++ == 0) {
-    st.last =
-        GemmStats{backend, mode, shape, gemm_flops(shape), bf16, isa, threads};
-    st.count += 1;
-    st.flops += st.last.flops;
-  }
+  st.last =
+      GemmStats{backend, mode, shape, gemm_flops(shape), bf16, isa, threads};
+  st.count += 1;
+  st.flops += st.last.flops;
 }
-
-GemmDispatchScope::~GemmDispatchScope() { --t_dispatch.depth; }
 
 }  // namespace detail
 
 void gemm(GemmMode mode, float alpha, const Matrix& a, const Matrix& b,
           float beta, Matrix& c) {
-  detail::GemmDispatchScope stats(GemmBackend::kReference, mode,
-                                  gemm_shape(mode, a, b), /*bf16=*/false);
+  detail::record_gemm_dispatch(GemmBackend::kReference, mode,
+                               gemm_shape(mode, a, b), /*bf16=*/false);
   gemm_impl<false>(mode, alpha, a, b, beta, c);
 }
 
@@ -151,8 +139,8 @@ Matrix gemm(GemmMode mode, const Matrix& a, const Matrix& b) {
 
 void gemm_bf16(GemmMode mode, float alpha, const Matrix& a, const Matrix& b,
                float beta, Matrix& c) {
-  detail::GemmDispatchScope stats(GemmBackend::kReference, mode,
-                                  gemm_shape(mode, a, b), /*bf16=*/true);
+  detail::record_gemm_dispatch(GemmBackend::kReference, mode,
+                               gemm_shape(mode, a, b), /*bf16=*/true);
   gemm_impl<true>(mode, alpha, a, b, beta, c);
 }
 
@@ -161,72 +149,6 @@ Matrix gemm_bf16(GemmMode mode, const Matrix& a, const Matrix& b) {
   Matrix c(s.m, s.n);
   gemm_bf16(mode, 1.0f, a, b, 0.0f, c);
   return c;
-}
-
-namespace {
-
-void run_reference_fp32(GemmMode mode, float alpha, const Matrix& a,
-                        const Matrix& b, float beta, Matrix& c) {
-  gemm(mode, alpha, a, b, beta, c);
-}
-void run_reference_bf16(GemmMode mode, float alpha, const Matrix& a,
-                        const Matrix& b, float beta, Matrix& c) {
-  gemm_bf16(mode, alpha, a, b, beta, c);
-}
-void run_tiled_fp32(GemmMode mode, float alpha, const Matrix& a,
-                    const Matrix& b, float beta, Matrix& c) {
-  gemm_tiled(mode, alpha, a, b, beta, c, /*round_bf16=*/false);
-}
-void run_tiled_bf16(GemmMode mode, float alpha, const Matrix& a,
-                    const Matrix& b, float beta, Matrix& c) {
-  gemm_tiled(mode, alpha, a, b, beta, c, /*round_bf16=*/true);
-}
-
-constexpr GemmBackendInfo kBackends[] = {
-    {GemmBackend::kReference, "reference", &run_reference_fp32,
-     &run_reference_bf16},
-    {GemmBackend::kTiled, "tiled", &run_tiled_fp32, &run_tiled_bf16},
-};
-
-}  // namespace
-
-std::span<const GemmBackendInfo> gemm_backends() { return kBackends; }
-
-const GemmBackendInfo& gemm_backend_info(GemmBackend backend) {
-  for (const GemmBackendInfo& info : kBackends) {
-    if (info.id == backend) return info;
-  }
-  throw Error("unknown GEMM backend");
-}
-
-namespace {
-
-// The reference backend has no ISA-specific kernels or worker lanes; only
-// the tiled backend's dispatch state is meaningful in GemmStats.
-GemmIsa stats_isa(GemmBackend backend) {
-  return backend == GemmBackend::kTiled ? active_gemm_isa()
-                                        : GemmIsa::kPortable;
-}
-int stats_threads(GemmBackend backend) {
-  return backend == GemmBackend::kTiled ? gemm_threads() : 1;
-}
-
-}  // namespace
-
-void gemm(GemmBackend backend, GemmMode mode, float alpha, const Matrix& a,
-          const Matrix& b, float beta, Matrix& c) {
-  detail::GemmDispatchScope stats(backend, mode, gemm_shape(mode, a, b),
-                                  /*bf16=*/false, stats_isa(backend),
-                                  stats_threads(backend));
-  gemm_backend_info(backend).run_fp32(mode, alpha, a, b, beta, c);
-}
-
-void gemm_bf16(GemmBackend backend, GemmMode mode, float alpha,
-               const Matrix& a, const Matrix& b, float beta, Matrix& c) {
-  detail::GemmDispatchScope stats(backend, mode, gemm_shape(mode, a, b),
-                                  /*bf16=*/true, stats_isa(backend),
-                                  stats_threads(backend));
-  gemm_backend_info(backend).run_bf16(mode, alpha, a, b, beta, c);
 }
 
 }  // namespace axonn

@@ -18,6 +18,30 @@ inline std::size_t ceil_div(std::size_t a, std::size_t b) {
   return (a + b - 1) / b;
 }
 
+// op(B) packed into cache-blocked panels, ready for the micro-kernel.
+// Layout: for each k-slab kb (kBlockK rows of op(B)), for each column tile
+// jt (kTileNR columns, zero-padded past n), a contiguous panel of
+// kc * kTileNR floats stored l-major: panel[l * kTileNR + j].
+struct PackedB {
+  std::size_t k = 0;
+  std::size_t n = 0;
+  std::size_t padded_n = 0;
+  mem::TrackedVector<float> data;  ///< charged to mem::Tag::kPackedPanels
+
+  std::size_t k_blocks() const { return ceil_div(k, kBlockK); }
+  std::size_t n_tiles() const { return padded_n / kTileNR; }
+  /// Rows in k-slab `kb` (kBlockK except possibly the last).
+  std::size_t k_block_rows(std::size_t kb) const {
+    return std::min(kBlockK, k - kb * kBlockK);
+  }
+  /// The (kb, jt) micro-panel: k_block_rows(kb) * kTileNR floats. Every slab
+  /// before kb is full, so its rows contribute kBlockK * padded_n.
+  const float* panel(std::size_t kb, std::size_t jt) const {
+    return data.data() + kb * kBlockK * padded_n +
+           jt * (k_block_rows(kb) * kTileNR);
+  }
+};
+
 // Threaded task grid (DESIGN.md §13): a task is one (kBlockM row block,
 // kGroupNTiles column-tile group) rectangle of C. The grid is a pure function
 // of the problem shape — never of the thread count — and task t is owned by
@@ -103,70 +127,44 @@ inline void add_tile(float alpha, const float* __restrict acc, Matrix& c,
   }
 }
 
-}  // namespace
-
-std::size_t PackedB::k_blocks() const { return ceil_div(k_, kBlockK); }
-
-std::size_t PackedB::n_tiles() const { return padded_n_ / kTileNR; }
-
-std::size_t PackedB::k_block_rows(std::size_t kb) const {
-  return std::min(kBlockK, k_ - kb * kBlockK);
-}
-
-const float* PackedB::panel(std::size_t kb, std::size_t jt) const {
-  // Every slab before kb is full, so its rows contribute kBlockK * padded_n_.
-  return data_.data() + kb * kBlockK * padded_n_ +
-         jt * (k_block_rows(kb) * kTileNR);
-}
-
+// Packs op(B) (= B or B^T) into panels, rounding through bf16 if asked.
+// O(k*n) — one pass over the operand.
 PackedB pack_b(const Matrix& b, bool transpose, bool round_bf16) {
   PackedB out;
-  out.k_ = transpose ? b.cols() : b.rows();
-  out.n_ = transpose ? b.rows() : b.cols();
-  out.padded_n_ = ceil_div(out.n_, kTileNR) * kTileNR;
-  out.rounded_bf16_ = round_bf16;
-  // Panels tag themselves: packs happen lazily under whatever scope the
-  // triggering GEMM runs in (usually activations), but the bytes belong to
-  // the packed-panel budget.
+  out.k = transpose ? b.cols() : b.rows();
+  out.n = transpose ? b.rows() : b.cols();
+  out.padded_n = ceil_div(out.n, kTileNR) * kTileNR;
+  // Panels tag themselves: the GEMM runs under whatever scope its caller set
+  // (usually activations), but the bytes belong to the packed-panel budget.
   const mem::ArenaScope scope(mem::Tag::kPackedPanels);
-  out.data_.assign(out.k_ * out.padded_n_, 0.0f);
-  if (out.data_.empty()) return out;
-  pack_b_impl(b, transpose, out.k_, out.n_, out.padded_n_, out.data_.data());
+  out.data.assign(out.k * out.padded_n, 0.0f);
+  if (out.data.empty()) return out;
+  pack_b_impl(b, transpose, out.k, out.n, out.padded_n, out.data.data());
   if (round_bf16) {
     const detail::GemmMicroKernels& kernels = detail::active_gemm_kernels();
-    kernels.round_bf16(out.data_.data(), out.data_.data(), out.data_.size());
+    kernels.round_bf16(out.data.data(), out.data.data(), out.data.size());
   }
   return out;
 }
 
-void gemm_tiled_packed(bool trans_a, float alpha, const Matrix& a,
-                       const PackedB& packed_b, float beta, Matrix& c,
-                       bool round_bf16) {
+// C = alpha * op(A) x packed-op(B) + beta * C; `trans_a` selects
+// op(A) = A^T. Shapes were validated by gemm_tiled().
+void gemm_packed(bool trans_a, float alpha, const Matrix& a,
+                 const PackedB& packed_b, float beta, Matrix& c,
+                 bool round_bf16, int budget) {
   const std::size_t m = trans_a ? a.cols() : a.rows();
-  const std::size_t ka = trans_a ? a.rows() : a.cols();
-  AXONN_CHECK_MSG(ka == packed_b.k(),
-                  "tiled GEMM inner dimension does not match packed op(B)");
-  AXONN_CHECK_MSG(c.rows() == m && c.cols() == packed_b.n(),
-                  "GEMM output shape does not match operands");
   const detail::GemmMicroKernels& kernels = detail::active_gemm_kernels();
-  const int budget = gemm_threads();
-  // op(B)'s transposition was resolved at pack time, so the recorded mode
-  // can only reflect op(A); prepacked calls report kNN/kTN.
-  detail::GemmDispatchScope stats(
-      GemmBackend::kTiled, trans_a ? GemmMode::kTN : GemmMode::kNN,
-      GemmShape{m, packed_b.n(), packed_b.k()}, round_bf16, active_gemm_isa(),
-      budget);
   if (beta == 0.0f) {
     c.set_zero();
   } else if (beta != 1.0f) {
     c.scale_inplace(beta);
   }
   // BLAS semantics: alpha == 0 means C = beta * C without touching A or B.
-  if (alpha == 0.0f || m == 0 || packed_b.n() == 0 || packed_b.k() == 0) {
+  if (alpha == 0.0f || m == 0 || packed_b.n == 0 || packed_b.k == 0) {
     return;
   }
 
-  const std::size_t n = packed_b.n();
+  const std::size_t n = packed_b.n;
   const std::size_t n_tiles = packed_b.n_tiles();
   const std::size_t k_blocks = packed_b.k_blocks();
   const std::size_t m_blocks = ceil_div(m, kBlockM);
@@ -257,14 +255,19 @@ void gemm_tiled_packed(bool trans_a, float alpha, const Matrix& a,
   }
 }
 
+}  // namespace
+
 void gemm_tiled(GemmMode mode, float alpha, const Matrix& a, const Matrix& b,
                 float beta, Matrix& c, bool round_bf16) {
-  detail::GemmDispatchScope stats(GemmBackend::kTiled, mode,
-                                  gemm_shape(mode, a, b), round_bf16,
-                                  active_gemm_isa(), gemm_threads());
+  const GemmShape shape = gemm_shape(mode, a, b);
+  AXONN_CHECK_MSG(c.rows() == shape.m && c.cols() == shape.n,
+                  "GEMM output shape does not match operands");
+  const int budget = gemm_threads();
+  detail::record_gemm_dispatch(GemmBackend::kTiled, mode, shape, round_bf16,
+                               active_gemm_isa(), budget);
   const PackedB packed = pack_b(b, gemm_transposes_b(mode), round_bf16);
-  gemm_tiled_packed(gemm_transposes_a(mode), alpha, a, packed, beta, c,
-                    round_bf16);
+  gemm_packed(gemm_transposes_a(mode), alpha, a, packed, beta, c, round_bf16,
+              budget);
 }
 
 }  // namespace axonn

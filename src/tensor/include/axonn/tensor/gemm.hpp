@@ -11,7 +11,6 @@
 // simulator (sim::SimOptions::kernel_tuning).
 
 #include <cstdint>
-#include <span>
 #include <string>
 
 #include "axonn/tensor/gemm_dispatch.hpp"
@@ -38,42 +37,18 @@ inline bool gemm_transposes_b(GemmMode mode) {
 }
 
 /// Which kernel implementation computes the product. `kReference` is the
-/// original scalar i-l-j loop (kept as the numerical baseline: plain gemm()
-/// always routes here, bit-identical to the seed). `kTiled` packs op(A) and
-/// op(B) into cache-blocked panels and runs a register-blocked micro-kernel
-/// (see gemm_tiled.hpp) — same math, different accumulation grouping, so
-/// results agree within accumulation-order tolerance only.
+/// original scalar i-l-j loop behind gemm()/gemm_bf16() (kept as the
+/// numerical baseline, bit-identical to the seed). `kTiled` is gemm_tiled():
+/// it packs op(A) and op(B) into cache-blocked panels and runs a
+/// register-blocked micro-kernel (see gemm_tiled.hpp) — same math, different
+/// accumulation grouping, so results agree within accumulation-order
+/// tolerance only. Callers name the kernel by calling its entry point.
 enum class GemmBackend {
   kReference,
   kTiled,
 };
 
 const char* to_string(GemmBackend backend);
-
-/// The backend registry: every entry computes C = alpha * op(A) x op(B) +
-/// beta * C in fp32 (`run_fp32`) or with operands rounded through bf16 as
-/// consumed (`run_bf16`). The benches and tests iterate this table so a new
-/// backend only needs one registration.
-struct GemmBackendInfo {
-  GemmBackend id;
-  const char* name;
-  void (*run_fp32)(GemmMode, float, const Matrix&, const Matrix&, float,
-                   Matrix&);
-  void (*run_bf16)(GemmMode, float, const Matrix&, const Matrix&, float,
-                   Matrix&);
-};
-
-/// All registered backends, reference first.
-std::span<const GemmBackendInfo> gemm_backends();
-
-/// Registry lookup by id (throws on unknown backend).
-const GemmBackendInfo& gemm_backend_info(GemmBackend backend);
-
-/// Explicit-backend entry points.
-void gemm(GemmBackend backend, GemmMode mode, float alpha, const Matrix& a,
-          const Matrix& b, float beta, Matrix& c);
-void gemm_bf16(GemmBackend backend, GemmMode mode, float alpha,
-               const Matrix& a, const Matrix& b, float beta, Matrix& c);
 
 /// C = alpha * op(A) x op(B) + beta * C. Shapes are validated against the
 /// mode. Accumulation is fp32 regardless of input rounding.
@@ -112,9 +87,9 @@ inline std::uint64_t gemm_flops(const GemmShape& s) {
 // ---------------------------------------------------------------------------
 
 /// What one GEMM dispatch actually ran, so a trace can attribute checksum
-/// (ABFT) overhead to the kernel it guarded. Every entry point — plain,
-/// explicit-backend, tiled and prepacked — records one of these per call on
-/// the calling thread.
+/// (ABFT) overhead to the kernel it guarded. Every entry point — gemm(),
+/// gemm_bf16() and gemm_tiled() — records one of these per call on the
+/// calling thread.
 struct GemmStats {
   GemmBackend backend = GemmBackend::kReference;
   GemmMode mode = GemmMode::kNN;
@@ -133,9 +108,7 @@ struct GemmStats {
 /// Meaningless until gemm_dispatch_count() > 0.
 const GemmStats& last_gemm_stats();
 
-/// GEMMs dispatched on the calling thread since start/reset. A nested
-/// dispatch (gemm_tiled calling gemm_tiled_packed, registry thunks calling
-/// the plain entry points) counts once, at the outermost public entry.
+/// GEMMs dispatched on the calling thread since start/reset.
 std::uint64_t gemm_dispatch_count();
 
 /// Cumulative gemm_flops over those dispatches.
@@ -146,17 +119,12 @@ void reset_gemm_dispatch_stats();
 
 namespace detail {
 
-/// RAII reentrancy guard behind the per-call stats: records at construction
-/// when (and only when) it is the outermost dispatch frame on this thread.
-class GemmDispatchScope {
- public:
-  GemmDispatchScope(GemmBackend backend, GemmMode mode, const GemmShape& shape,
-                    bool bf16, GemmIsa isa = GemmIsa::kPortable,
-                    int threads = 1);
-  ~GemmDispatchScope();
-  GemmDispatchScope(const GemmDispatchScope&) = delete;
-  GemmDispatchScope& operator=(const GemmDispatchScope&) = delete;
-};
+/// Records one dispatch in the calling thread's statistics. Each kernel entry
+/// point calls it once per call (the allocating forms only delegate), so
+/// nothing double-counts.
+void record_gemm_dispatch(GemmBackend backend, GemmMode mode,
+                          const GemmShape& shape, bool bf16,
+                          GemmIsa isa = GemmIsa::kPortable, int threads = 1);
 
 }  // namespace detail
 

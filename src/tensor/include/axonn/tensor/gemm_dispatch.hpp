@@ -16,9 +16,9 @@
 // workers (§12), so the default is 1 (serial — bit-identical to the
 // pre-threaded backend by construction) and parallelism is opted into via
 // AXONN_GEMM_THREADS, set_gemm_threads(), WorldOptions::gemm_threads (which
-// divides the host's cores by the rank count) or a per-layer
-// FCOptions::gemm_threads scope. Results are bitwise identical at any thread
-// count (see gemm_tiled.hpp), so the knob is pure performance.
+// divides the host's cores by the rank count) or a GemmThreadScope. Results
+// are bitwise identical at any thread count (see gemm_tiled.hpp), so the knob
+// is pure performance.
 
 #include <cstddef>
 

@@ -8,7 +8,7 @@
 // backend does what a real BLAS does instead (the paper's §V-C tuning story
 // only has teeth when genuinely different kernels exist):
 //
-//   1. op(B) is packed once into column panels of kTileNR contiguous
+//   1. op(B) is packed per call into column panels of kTileNR contiguous
 //      columns, blocked over the contraction dimension in kBlockK slabs.
 //      Transposition is resolved at pack time, so NN/NT/TN/TT all run the
 //      identical micro-kernel. The bf16 path rounds elements as they are
@@ -25,14 +25,11 @@
 // the floating-point grouping differs from the reference kernel: results
 // match within accumulation-order tolerance, not bitwise.
 //
-// PackedB is exposed so weight matrices can be packed once and reused across
-// every GEMM that consumes them (TensorParallelFC packs W per layer and
-// invalidates on optimizer step — the pack-once weight panel cache).
+// The op(B) pack is a transient of the call: nothing outlives gemm_tiled(),
+// so the packed-panel footprint is one op(B) plus the per-lane A blocks.
 
 #include <cstddef>
-#include <vector>
 
-#include "axonn/base/arena.hpp"
 #include "axonn/tensor/gemm.hpp"
 #include "axonn/tensor/matrix.hpp"
 
@@ -47,49 +44,8 @@ inline constexpr std::size_t kTileNR = 16;
 inline constexpr std::size_t kBlockM = 96;   // multiple of kTileMR
 inline constexpr std::size_t kBlockK = 256;
 
-/// op(B) packed into cache-blocked panels, ready for the micro-kernel.
-/// Layout: for each k-slab kb (kBlockK rows of op(B)), for each column tile
-/// jt (kTileNR columns, zero-padded past n), a contiguous panel of
-/// kc * kTileNR floats stored l-major: panel[l * kTileNR + j].
-class PackedB {
- public:
-  PackedB() = default;
-
-  std::size_t k() const { return k_; }
-  std::size_t n() const { return n_; }
-  bool empty() const { return data_.empty(); }
-  bool rounded_bf16() const { return rounded_bf16_; }
-  void clear() { *this = PackedB(); }
-
-  /// Number of k-slabs and kTileNR column tiles.
-  std::size_t k_blocks() const;
-  std::size_t n_tiles() const;
-  /// Rows in k-slab `kb` (kBlockK except possibly the last).
-  std::size_t k_block_rows(std::size_t kb) const;
-  /// The (kb, jt) micro-panel: k_block_rows(kb) * kTileNR floats.
-  const float* panel(std::size_t kb, std::size_t jt) const;
-
- private:
-  friend PackedB pack_b(const Matrix& b, bool transpose, bool round_bf16);
-
-  std::size_t k_ = 0;
-  std::size_t n_ = 0;
-  std::size_t padded_n_ = 0;
-  bool rounded_bf16_ = false;
-  mem::TrackedVector<float> data_;  ///< charged to mem::Tag::kPackedPanels
-};
-
-/// Packs op(B) (= B or B^T) into panels. O(k*n) — one pass over the operand.
-PackedB pack_b(const Matrix& b, bool transpose, bool round_bf16);
-
-/// C = alpha * op(A) x packed-op(B) + beta * C with op(B) pre-packed.
-/// `trans_a` selects op(A) = A^T. Shapes are validated against the pack.
-void gemm_tiled_packed(bool trans_a, float alpha, const Matrix& a,
-                       const PackedB& packed_b, float beta, Matrix& c,
-                       bool round_bf16);
-
-/// Convenience form that packs op(B) internally (pack cost included — the
-/// per-call cost when no reusable pack exists).
+/// C = alpha * op(A) x op(B) + beta * C on the tiled kernel; op(B) is
+/// packed (and, with round_bf16, rounded) once per call.
 void gemm_tiled(GemmMode mode, float alpha, const Matrix& a, const Matrix& b,
                 float beta, Matrix& c, bool round_bf16);
 

@@ -383,8 +383,12 @@ Matrix GPTModel::forward_logits(const std::vector<TokenSeq>& sequences,
   Matrix normed = layernorm(x, row_vector(final_gamma_),
                             row_vector(final_beta_), flc);
   if (final_out) *final_out = normed;
-  return config_.mixed_precision ? gemm_bf16(GemmMode::kNN, normed, lm_head_)
-                                 : gemm(GemmMode::kNN, normed, lm_head_);
+  return lm_head_gemm(GemmMode::kNN, normed, lm_head_);
+}
+
+Matrix GPTModel::lm_head_gemm(GemmMode mode, const Matrix& a,
+                              const Matrix& b) const {
+  return config_.mixed_precision ? gemm_bf16(mode, a, b) : gemm(mode, a, b);
 }
 
 float GPTModel::train_step(const std::vector<TokenSeq>& sequences,
@@ -432,8 +436,8 @@ float GPTModel::train_step(const std::vector<TokenSeq>& sequences,
 
   // ---- backward -----------------------------------------------------------
   // LM head.
-  Matrix d_normed = gemm(GemmMode::kNT, dlogits, lm_head_);
-  lm_head_grad_.add_inplace(gemm(GemmMode::kTN, final_out, dlogits));
+  Matrix d_normed = lm_head_gemm(GemmMode::kNT, dlogits, lm_head_);
+  lm_head_grad_.add_inplace(lm_head_gemm(GemmMode::kTN, final_out, dlogits));
   std::vector<float> dgamma, dbeta;
   Matrix dx = layernorm_backward(d_normed, final_ln,
                                  row_vector(final_gamma_), dgamma, dbeta);

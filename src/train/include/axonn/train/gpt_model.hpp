@@ -38,6 +38,7 @@ struct TinyGPTConfig {
   int hidden = 64;
   int heads = 4;
   float init_std = 0.06f;
+  /// Round the operands of every FC-sublayer and LM-head GEMM through bf16.
   bool mixed_precision = false;
   std::uint64_t seed = 1;
   /// ORS/OAR/OAG on the FC sublayers.
@@ -163,6 +164,10 @@ class GPTModel {
                         std::vector<BlockCache>* caches, Matrix* x0_out,
                         LayerNormCache* final_ln_cache, Matrix* final_in,
                         Matrix* final_out);
+  /// One LM-head product. Like the FC sublayers, all three (forward NN,
+  /// backward NT and TN) round their operands through bf16 under
+  /// mixed_precision.
+  Matrix lm_head_gemm(GemmMode mode, const Matrix& a, const Matrix& b) const;
 
   /// Marks every FC sublayer's gathered-weight cache stale: weights may
   /// have changed since the last gather (an optimizer step through Adam's

@@ -57,7 +57,7 @@ TEST(PriorityLanesTest, HighPriorityBypassesBusyBulkLane) {
 }
 
 TEST(PriorityLanesTest, HostTaskIsFifoAfterCollectiveOnSameLane) {
-  // The OAG pre-pack contract: a run_on_stream() task posted to the same
+  // The host-task contract: a run_on_stream() task posted to the same
   // lane after a nonblocking gather sees the gathered data (lane FIFO), and
   // waiting on the task implies the gather completed.
   run_ranks(4, [](Communicator& world) {

@@ -235,11 +235,10 @@ TEST(FCLayerTest, WireBytesMatchPerfModelEquations) {
 }
 
 TEST(FCLayerTest, TiledBackendMatchesReferenceAndRepacksAfterStep) {
-  // With a fixed tiled backend the layer packs W once per gathered block and
-  // reuses the panels across the forward (NN) and dI (NT) products. An
-  // optimizer step must invalidate the packs along with the gathered-weight
-  // cache, or the next iteration would multiply against stale panels — the
-  // loop below would then diverge from the reference layer immediately.
+  // The tiled layer packs op(B) inside every GEMM, so after an optimizer
+  // step the next iteration must see the updated weights through the
+  // invalidated gathered-weight cache — a stale operand would make the loop
+  // below diverge from the reference layer immediately.
   comm::run_ranks(1, [&](comm::Communicator& world) {
     Grid4D grid(world, sim::GridShape{1, 1, 1, 1});
     FCOptions tiled_options;

@@ -95,8 +95,8 @@ TEST(OagPrefetchTest, StalePrefetchDiscardedWhenForwardConsumesIt) {
 }
 
 TEST(OagPrefetchTest, StalePrefetchDiscardedWithTiledPrepack) {
-  // The tiled backend adds the lane-side pre-pack to the prefetch; both the
-  // gathered block and the packed panel must be discarded together.
+  // The same stale-prefetch discard on the tiled backend: its forward packs
+  // the adopted (or re-gathered) block, never the stale prefetch.
   const Matrix golden = run_scenario(Scenario::kBlocking, GemmBackend::kTiled);
   const Matrix reissued =
       run_scenario(Scenario::kStaleThenReissue, GemmBackend::kTiled);

@@ -4,9 +4,11 @@
 
 #include <cmath>
 #include <limits>
+#include <ostream>
 
 #include "axonn/base/rng.hpp"
 #include "axonn/tensor/bf16.hpp"
+#include "axonn/tensor/gemm_tiled.hpp"
 
 namespace axonn {
 namespace {
@@ -89,6 +91,13 @@ struct GemmCase {
   float alpha, beta;
 };
 
+// Names each case by its fields (e.g. "NN_m4_k5_n6_alpha1_beta0"), so test
+// names are stable instead of a dump of the struct's bytes and padding.
+void PrintTo(const GemmCase& c, std::ostream* os) {
+  *os << to_string(c.mode) << "_m" << c.m << "_k" << c.k << "_n" << c.n
+      << "_alpha" << c.alpha << "_beta" << c.beta;
+}
+
 class GemmProperty : public ::testing::TestWithParam<GemmCase> {};
 
 TEST_P(GemmProperty, MatchesReference) {
@@ -169,18 +178,17 @@ TEST(GemmTest, ZeroTimesNonFinitePropagatesNaN) {
   Matrix b(2, 1);
   b(0, 0) = std::numeric_limits<float>::quiet_NaN();
   b(1, 0) = 2.0f;
-  for (GemmBackend backend : {GemmBackend::kReference, GemmBackend::kTiled}) {
+  const auto expect_nan_on_both_backends = [&] {
     Matrix c(1, 1);
-    gemm(backend, GemmMode::kNN, 1.0f, a, b, 0.0f, c);
-    EXPECT_TRUE(std::isnan(c(0, 0))) << to_string(backend);
-  }
+    gemm(GemmMode::kNN, 1.0f, a, b, 0.0f, c);
+    EXPECT_TRUE(std::isnan(c(0, 0))) << "reference";
+    gemm_tiled(GemmMode::kNN, 1.0f, a, b, 0.0f, c, /*round_bf16=*/false);
+    EXPECT_TRUE(std::isnan(c(0, 0))) << "tiled";
+  };
+  expect_nan_on_both_backends();
 
   b(0, 0) = std::numeric_limits<float>::infinity();  // 0 * inf is also NaN
-  for (GemmBackend backend : {GemmBackend::kReference, GemmBackend::kTiled}) {
-    Matrix c(1, 1);
-    gemm(backend, GemmMode::kNN, 1.0f, a, b, 0.0f, c);
-    EXPECT_TRUE(std::isnan(c(0, 0))) << to_string(backend);
-  }
+  expect_nan_on_both_backends();
 
   // alpha == 0 remains the BLAS fast path: C = beta*C, operands unread.
   Matrix c = Matrix::full(1, 1, 5.0f);

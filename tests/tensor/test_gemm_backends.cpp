@@ -1,17 +1,13 @@
-// The GEMM backend layer: registry dispatch, and the tiled packed-panel
-// backend against the reference kernel across a sweep of shapes (including
-// non-tile-multiples and degenerate 1xN / Nx1 products), all four transpose
-// modes, fp32 and bf16. The tiled backend accumulates each k-slab in
-// registers before adding it to C, so it matches the reference within an
-// accumulation-order tolerance rather than bitwise; the prepacked entry
-// point, by contrast, must be bitwise identical to the pack-internally one.
+// The two GEMM backends: gemm_tiled() against the reference kernel across a
+// sweep of shapes (including non-tile-multiples and degenerate 1xN / Nx1
+// products), all four transpose modes, fp32 and bf16. The tiled backend
+// accumulates each k-slab in registers before adding it to C, so it matches
+// the reference within an accumulation-order tolerance rather than bitwise.
 
 #include "axonn/tensor/gemm.hpp"
 #include "axonn/tensor/gemm_tiled.hpp"
 
 #include <gtest/gtest.h>
-
-#include <cstring>
 
 #include "axonn/base/rng.hpp"
 
@@ -53,33 +49,6 @@ Matrix make_b(GemmMode mode, const ShapeCase& s, std::uint64_t seed) {
 // N(0,1) draws; regrouping the sum perturbs it by O(k) ulps.
 float tolerance(std::size_t k) { return 1e-5f * static_cast<float>(k + 8); }
 
-TEST(GemmBackendTest, RegistryListsReferenceAndTiled) {
-  const auto backends = gemm_backends();
-  ASSERT_EQ(backends.size(), 2u);
-  EXPECT_EQ(backends[0].id, GemmBackend::kReference);
-  EXPECT_STREQ(backends[0].name, "reference");
-  EXPECT_EQ(backends[1].id, GemmBackend::kTiled);
-  EXPECT_STREQ(backends[1].name, "tiled");
-  EXPECT_STREQ(to_string(GemmBackend::kReference), "reference");
-  EXPECT_STREQ(to_string(GemmBackend::kTiled), "tiled");
-  EXPECT_EQ(gemm_backend_info(GemmBackend::kTiled).id, GemmBackend::kTiled);
-}
-
-TEST(GemmBackendTest, ReferenceBackendDispatchIsBitIdenticalToPlainGemm) {
-  // The registry's reference entry is the seed kernel, not a reimplementation:
-  // dispatching through it must not change a single bit.
-  const ShapeCase s{17, 23, 31};
-  for (GemmMode mode : kModes) {
-    const Matrix a = make_a(mode, s, 1);
-    const Matrix b = make_b(mode, s, 2);
-    Matrix c_plain(s.m, s.n), c_dispatch(s.m, s.n);
-    gemm(mode, 1.0f, a, b, 0.0f, c_plain);
-    gemm(GemmBackend::kReference, mode, 1.0f, a, b, 0.0f, c_dispatch);
-    EXPECT_EQ(Matrix::max_abs_diff(c_plain, c_dispatch), 0.0f)
-        << to_string(mode);
-  }
-}
-
 TEST(GemmBackendTest, TiledMatchesReferenceAcrossShapesAndModesFp32) {
   std::uint64_t seed = 100;
   for (const ShapeCase& s : kShapes) {
@@ -88,7 +57,7 @@ TEST(GemmBackendTest, TiledMatchesReferenceAcrossShapesAndModesFp32) {
       const Matrix b = make_b(mode, s, seed++);
       Matrix c_ref(s.m, s.n), c_tiled(s.m, s.n);
       gemm(mode, 1.0f, a, b, 0.0f, c_ref);
-      gemm(GemmBackend::kTiled, mode, 1.0f, a, b, 0.0f, c_tiled);
+      gemm_tiled(mode, 1.0f, a, b, 0.0f, c_tiled, /*round_bf16=*/false);
       EXPECT_LE(Matrix::max_abs_diff(c_ref, c_tiled), tolerance(s.k))
           << "m=" << s.m << " n=" << s.n << " k=" << s.k << " "
           << to_string(mode);
@@ -107,7 +76,7 @@ TEST(GemmBackendTest, TiledMatchesReferenceBf16) {
       const Matrix b = make_b(mode, s, seed++);
       Matrix c_ref(s.m, s.n), c_tiled(s.m, s.n);
       gemm_bf16(mode, 1.0f, a, b, 0.0f, c_ref);
-      gemm_bf16(GemmBackend::kTiled, mode, 1.0f, a, b, 0.0f, c_tiled);
+      gemm_tiled(mode, 1.0f, a, b, 0.0f, c_tiled, /*round_bf16=*/true);
       EXPECT_LE(Matrix::max_abs_diff(c_ref, c_tiled),
                 tolerance(s.k) + 1e-2f * static_cast<float>(s.k) / 64.0f)
           << "m=" << s.m << " n=" << s.n << " k=" << s.k << " "
@@ -124,64 +93,16 @@ TEST(GemmBackendTest, AlphaBetaSemantics) {
     Matrix c_ref = operand(s.m, s.n, 902);
     Matrix c_tiled = c_ref;
     gemm(mode, 0.5f, a, b, 2.0f, c_ref);
-    gemm(GemmBackend::kTiled, mode, 0.5f, a, b, 2.0f, c_tiled);
+    gemm_tiled(mode, 0.5f, a, b, 2.0f, c_tiled, /*round_bf16=*/false);
     EXPECT_LE(Matrix::max_abs_diff(c_ref, c_tiled), tolerance(s.k));
 
     // alpha == 0: C = beta * C without reading the operands.
     Matrix c0_ref = operand(s.m, s.n, 903);
     Matrix c0_tiled = c0_ref;
     gemm(mode, 0.0f, a, b, 3.0f, c0_ref);
-    gemm(GemmBackend::kTiled, mode, 0.0f, a, b, 3.0f, c0_tiled);
+    gemm_tiled(mode, 0.0f, a, b, 3.0f, c0_tiled, /*round_bf16=*/false);
     EXPECT_EQ(Matrix::max_abs_diff(c0_ref, c0_tiled), 0.0f);
   }
-}
-
-TEST(GemmBackendTest, PrepackedPathIsBitIdenticalToDirectTiled) {
-  // gemm_tiled packs op(B) and calls gemm_tiled_packed; supplying the same
-  // pack externally (the FC layer's weight panel cache) must therefore be a
-  // pure no-op numerically.
-  std::uint64_t seed = 700;
-  for (const ShapeCase& s : kShapes) {
-    for (GemmMode mode : kModes) {
-      for (bool bf16 : {false, true}) {
-        const Matrix a = make_a(mode, s, seed++);
-        const Matrix b = make_b(mode, s, seed++);
-        Matrix c_direct(s.m, s.n), c_packed(s.m, s.n);
-        gemm_tiled(mode, 1.0f, a, b, 0.0f, c_direct, bf16);
-        const PackedB pack = pack_b(b, gemm_transposes_b(mode), bf16);
-        EXPECT_EQ(pack.k(), s.k);
-        EXPECT_EQ(pack.n(), s.n);
-        EXPECT_EQ(pack.rounded_bf16(), bf16);
-        gemm_tiled_packed(gemm_transposes_a(mode), 1.0f, a, pack, 0.0f,
-                          c_packed, bf16);
-        EXPECT_EQ(Matrix::max_abs_diff(c_direct, c_packed), 0.0f)
-            << "m=" << s.m << " n=" << s.n << " k=" << s.k << " "
-            << to_string(mode) << " bf16=" << bf16;
-      }
-    }
-  }
-}
-
-TEST(GemmBackendTest, PackedBReportsGeometry) {
-  const Matrix b = operand(300, 33, 42);
-  const PackedB pack = pack_b(b, /*transpose=*/false, /*round_bf16=*/false);
-  EXPECT_EQ(pack.k(), 300u);
-  EXPECT_EQ(pack.n(), 33u);
-  EXPECT_EQ(pack.k_blocks(), 2u);        // ceil(300 / 256)
-  EXPECT_EQ(pack.k_block_rows(0), 256u);
-  EXPECT_EQ(pack.k_block_rows(1), 44u);
-  EXPECT_EQ(pack.n_tiles(), 3u);         // ceil(33 / 16)
-  EXPECT_FALSE(pack.empty());
-
-  PackedB cleared = pack_b(b, false, false);
-  cleared.clear();
-  EXPECT_TRUE(cleared.empty());
-  EXPECT_EQ(cleared.k(), 0u);
-
-  // Transposed pack: op(B) = B^T is 33 x 300.
-  const PackedB tpack = pack_b(b, /*transpose=*/true, /*round_bf16=*/false);
-  EXPECT_EQ(tpack.k(), 33u);
-  EXPECT_EQ(tpack.n(), 300u);
 }
 
 }  // namespace

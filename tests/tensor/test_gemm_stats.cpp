@@ -1,8 +1,6 @@
-// Per-call GEMM dispatch statistics: every public entry point — plain,
-// explicit-backend, tiled and prepacked — records (backend, mode, shape,
-// flops, bf16) exactly once per call on the calling thread, with nested
-// delegation (registry thunks, gemm_tiled -> gemm_tiled_packed) counted at
-// the outermost frame only.
+// Per-call GEMM dispatch statistics: every entry point — gemm(),
+// gemm_bf16() and gemm_tiled() — records (backend, mode, shape, flops, bf16)
+// exactly once per call on the calling thread.
 
 #include <gtest/gtest.h>
 
@@ -56,8 +54,8 @@ TEST(GemmStatsTest, Bf16AndTransposeModesAreRecorded) {
 }
 
 TEST(GemmStatsTest, TiledDispatchCountsOnceAtTheOutermostFrame) {
-  // gemm_tiled packs op(B) and delegates to gemm_tiled_packed — one logical
-  // GEMM, so one recorded dispatch, attributed to the tiled backend with the
+  // gemm_tiled packs op(B) and runs the packed kernel — one logical GEMM,
+  // so one recorded dispatch, attributed to the tiled backend with the
   // caller's mode.
   const Matrix a = filled(9, 17, 0.01f);
   const Matrix b = filled(4, 17, 0.02f);  // op(B) = B^T under kNT
@@ -70,37 +68,6 @@ TEST(GemmStatsTest, TiledDispatchCountsOnceAtTheOutermostFrame) {
   EXPECT_EQ(stats.mode, GemmMode::kNT);
   EXPECT_EQ(stats.shape.k, 17u);
   EXPECT_EQ(stats.flops, 2ull * 9 * 4 * 17);
-}
-
-TEST(GemmStatsTest, PrepackedCallRecordsResolvedMode) {
-  // op(B)'s transposition is resolved at pack time, so a prepacked dispatch
-  // reports only op(A)'s side: kTN here, with shape from the packed panels.
-  const Matrix a = filled(12, 8, 0.01f);  // op(A) = A^T: m=8, k=12
-  const Matrix b = filled(12, 6, 0.02f);
-  const PackedB packed = pack_b(b, /*trans_b=*/false, /*round_bf16=*/false);
-  reset_gemm_dispatch_stats();
-  Matrix c(8, 6);
-  gemm_tiled_packed(/*trans_a=*/true, 1.0f, a, packed, 0.0f, c,
-                    /*round_bf16=*/false);
-  EXPECT_EQ(gemm_dispatch_count(), 1u);
-  const GemmStats& stats = last_gemm_stats();
-  EXPECT_EQ(stats.backend, GemmBackend::kTiled);
-  EXPECT_EQ(stats.mode, GemmMode::kTN);
-  EXPECT_EQ(stats.shape.m, 8u);
-  EXPECT_EQ(stats.shape.n, 6u);
-  EXPECT_EQ(stats.shape.k, 12u);
-}
-
-TEST(GemmStatsTest, RegistryThunksCountOncePerCall) {
-  const Matrix a = filled(3, 5, 0.01f);
-  const Matrix b = filled(5, 4, 0.02f);
-  Matrix c(3, 4);
-  for (const GemmBackendInfo& info : gemm_backends()) {
-    reset_gemm_dispatch_stats();
-    info.run_fp32(GemmMode::kNN, 1.0f, a, b, 0.0f, c);
-    EXPECT_EQ(gemm_dispatch_count(), 1u) << info.name;
-    EXPECT_EQ(last_gemm_stats().backend, info.id) << info.name;
-  }
 }
 
 TEST(GemmStatsTest, FlopsAccumulateAndResetClears) {

@@ -188,13 +188,13 @@ TEST(GemmThreadsTest, StatsRecordTierAndBudget) {
   Matrix c(40, 33);
   {
     GemmThreadScope scope(4);
-    gemm(GemmBackend::kTiled, GemmMode::kNN, 1.0f, a, b, 0.0f, c);
+    gemm_tiled(GemmMode::kNN, 1.0f, a, b, 0.0f, c, /*round_bf16=*/false);
   }
   EXPECT_EQ(last_gemm_stats().backend, GemmBackend::kTiled);
   EXPECT_EQ(last_gemm_stats().isa, active_gemm_isa());
   EXPECT_EQ(last_gemm_stats().threads, 4);
   // The reference backend has no lanes or tiers to report.
-  gemm(GemmBackend::kReference, GemmMode::kNN, 1.0f, a, b, 0.0f, c);
+  gemm(GemmMode::kNN, 1.0f, a, b, 0.0f, c);
   EXPECT_EQ(last_gemm_stats().isa, GemmIsa::kPortable);
   EXPECT_EQ(last_gemm_stats().threads, 1);
 }
@@ -250,20 +250,12 @@ TEST(GemmThreadInvarianceTest, BitwiseIdenticalAcrossBudgetsForEveryTier) {
           Matrix serial(s.m, s.n);
           {
             GemmThreadScope one(1);
-            if (bf16) {
-              gemm_bf16(GemmBackend::kTiled, mode, 1.0f, a, b, 0.0f, serial);
-            } else {
-              gemm(GemmBackend::kTiled, mode, 1.0f, a, b, 0.0f, serial);
-            }
+            gemm_tiled(mode, 1.0f, a, b, 0.0f, serial, bf16);
           }
           for (int threads : {2, 4, 7}) {
             GemmThreadScope scope(threads);
             Matrix c(s.m, s.n);
-            if (bf16) {
-              gemm_bf16(GemmBackend::kTiled, mode, 1.0f, a, b, 0.0f, c);
-            } else {
-              gemm(GemmBackend::kTiled, mode, 1.0f, a, b, 0.0f, c);
-            }
+            gemm_tiled(mode, 1.0f, a, b, 0.0f, c, bf16);
             EXPECT_EQ(Matrix::max_abs_diff(serial, c), 0.0f)
                 << to_string(tier) << " m=" << s.m << " n=" << s.n
                 << " k=" << s.k << " " << to_string(mode) << " bf16=" << bf16
@@ -282,30 +274,29 @@ TEST(GemmThreadInvarianceTest, ReferenceBackendIgnoresBudgetBitwise) {
   const Matrix a = make_a(GemmMode::kNN, s, 1);
   const Matrix b = make_b(GemmMode::kNN, s, 2);
   Matrix serial(s.m, s.n), budgeted(s.m, s.n);
-  gemm(GemmBackend::kReference, GemmMode::kNN, 1.0f, a, b, 0.0f, serial);
+  gemm(GemmMode::kNN, 1.0f, a, b, 0.0f, serial);
   {
     GemmThreadScope scope(7);
-    gemm(GemmBackend::kReference, GemmMode::kNN, 1.0f, a, b, 0.0f, budgeted);
+    gemm(GemmMode::kNN, 1.0f, a, b, 0.0f, budgeted);
   }
   EXPECT_EQ(Matrix::max_abs_diff(serial, budgeted), 0.0f);
 }
 
 TEST(GemmThreadInvarianceTest, PrepackedAndAlphaBetaStayBitwiseUnderThreads) {
-  // The FC weight-cache path plus the beta != 0 accumulate path, threaded:
-  // both must reproduce their serial results exactly.
+  // The packed-op(B) kernel on the alpha != 1, beta != 0 accumulate path,
+  // threaded: it must reproduce its serial result exactly.
   const ShapeCase s{200, 300, 128};
   const Matrix a = make_a(GemmMode::kNN, s, 41);
   const Matrix b = make_b(GemmMode::kNN, s, 42);
-  const PackedB pack = pack_b(b, false, false);
   Matrix serial = operand(s.m, s.n, 43);
   Matrix threaded = serial;
   {
     GemmThreadScope one(1);
-    gemm_tiled_packed(false, 0.5f, a, pack, 2.0f, serial, false);
+    gemm_tiled(GemmMode::kNN, 0.5f, a, b, 2.0f, serial, false);
   }
   {
     GemmThreadScope four(4);
-    gemm_tiled_packed(false, 0.5f, a, pack, 2.0f, threaded, false);
+    gemm_tiled(GemmMode::kNN, 0.5f, a, b, 2.0f, threaded, false);
   }
   EXPECT_EQ(Matrix::max_abs_diff(serial, threaded), 0.0f);
 }

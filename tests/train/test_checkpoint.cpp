@@ -12,6 +12,7 @@
 
 #include "axonn/comm/thread_comm.hpp"
 #include "axonn/core/grid4d.hpp"
+#include "axonn/tensor/gemm_dispatch.hpp"
 #include "axonn/train/checkpoint.hpp"
 
 namespace axonn::train {
@@ -144,49 +145,80 @@ std::vector<TokenSeq> fixed_batch(std::size_t batch, std::size_t len) {
 }
 
 TEST(CheckpointStateTest, RestoreIsBitExact) {
-  const fs::path dir = scratch_dir("state");
-  const std::string path = (dir / checkpoint_filename(3, 0)).string();
-  const auto batch = fixed_batch(2, 16);
+  // Once on the reference kernel and once on the fast path: the tiled
+  // backend with two GEMM lanes per rank. Its 8 sequences give the FC GEMMs
+  // 120 rows, two kBlockM row blocks, so both lanes get work.
+  struct Input {
+    const char* name;
+    GemmBackend backend;
+    int gemm_threads;
+    std::size_t sequences;
+  };
+  for (const Input& input :
+       {Input{"reference", GemmBackend::kReference, 0, 2},
+        Input{"tiled_2_lanes", GemmBackend::kTiled, 2, 8}}) {
+    SCOPED_TRACE(input.name);
+    const fs::path dir = scratch_dir(std::string("state_") + input.name);
+    const std::string path = (dir / checkpoint_filename(3, 0)).string();
+    const auto batch = fixed_batch(input.sequences, 16);
+    comm::WorldOptions world_options;
+    world_options.gemm_threads = input.gemm_threads;
+    const auto model_config = [&](std::uint64_t seed) {
+      TinyGPTConfig config = ckpt_model_config(seed);
+      config.gemm_backend = input.backend;
+      return config;
+    };
 
-  float saved_loss = 0.0f;
-  std::uint64_t saved_draw = 0;
-  comm::run_ranks(1, [&](comm::Communicator& world) {
-    core::Grid4D grid(world, sim::GridShape{1, 1, 1, 1});
-    GPTModel model(grid, ckpt_model_config(/*seed=*/5));
-    Adam adam(AdamConfig{.lr = 5e-3f});
-    model.register_params(adam);
-    TrainCursor cursor;
-    cursor.rng = Rng(999);
-    for (int step = 0; step < 3; ++step) {
-      model.zero_grad();
-      model.train_step(batch);
-      adam.step();
-      cursor.step += 1;
-      cursor.next_doc += 2;
-      (void)cursor.rng.uniform_int(1000);  // advance the RNG
-    }
-    save_checkpoint(path, model, adam, cursor, /*rank=*/0, /*world_size=*/1);
-    saved_loss = model.evaluate_loss(batch);
-    saved_draw = cursor.rng.uniform_int(1u << 20);
-  });
+    float saved_loss = 0.0f;
+    std::uint64_t saved_draw = 0;
+    comm::run_ranks(
+        1,
+        [&](comm::Communicator& world) {
+          core::Grid4D grid(world, sim::GridShape{1, 1, 1, 1});
+          GPTModel model(grid, model_config(/*seed=*/5));
+          Adam adam(AdamConfig{.lr = 5e-3f});
+          model.register_params(adam);
+          TrainCursor cursor;
+          cursor.rng = Rng(999);
+          for (int step = 0; step < 3; ++step) {
+            model.zero_grad();
+            model.train_step(batch);
+            adam.step();
+            cursor.step += 1;
+            cursor.next_doc += 2;
+            (void)cursor.rng.uniform_int(1000);  // advance the RNG
+          }
+          save_checkpoint(path, model, adam, cursor, /*rank=*/0,
+                          /*world_size=*/1);
+          saved_loss = model.evaluate_loss(batch);
+          saved_draw = cursor.rng.uniform_int(1u << 20);
+        },
+        world_options);
 
-  comm::run_ranks(1, [&](comm::Communicator& world) {
-    core::Grid4D grid(world, sim::GridShape{1, 1, 1, 1});
-    // Different init seed: every weight starts different from the saved run.
-    GPTModel model(grid, ckpt_model_config(/*seed=*/31337));
-    Adam adam(AdamConfig{.lr = 5e-3f});
-    model.register_params(adam);
-    TrainCursor cursor;
-    load_checkpoint(path, model, adam, cursor, /*rank=*/0, /*world_size=*/1);
+    comm::run_ranks(
+        1,
+        [&](comm::Communicator& world) {
+          core::Grid4D grid(world, sim::GridShape{1, 1, 1, 1});
+          // Different init seed: every weight starts different from the
+          // saved run.
+          GPTModel model(grid, model_config(/*seed=*/31337));
+          Adam adam(AdamConfig{.lr = 5e-3f});
+          model.register_params(adam);
+          TrainCursor cursor;
+          load_checkpoint(path, model, adam, cursor, /*rank=*/0,
+                          /*world_size=*/1);
 
-    EXPECT_EQ(cursor.step, 3u);
-    EXPECT_EQ(cursor.next_doc, 6u);
-    EXPECT_EQ(adam.step_count(), 3);
-    // Bit-exact weights => bit-identical loss; bit-exact RNG state => the
-    // next draw matches the saved run's next draw.
-    EXPECT_EQ(model.evaluate_loss(batch), saved_loss);
-    EXPECT_EQ(cursor.rng.uniform_int(1u << 20), saved_draw);
-  });
+          EXPECT_EQ(cursor.step, 3u);
+          EXPECT_EQ(cursor.next_doc, 6u);
+          EXPECT_EQ(adam.step_count(), 3);
+          // Bit-exact weights => bit-identical loss; bit-exact RNG state =>
+          // the next draw matches the saved run's next draw.
+          EXPECT_EQ(model.evaluate_loss(batch), saved_loss);
+          EXPECT_EQ(cursor.rng.uniform_int(1u << 20), saved_draw);
+        },
+        world_options);
+    set_gemm_threads(0);  // the world knob writes the process-global budget
+  }
 }
 
 TEST(CheckpointStateTest, WorldShapeMismatchRejected) {

@@ -169,9 +169,9 @@ TEST(ElasticTrainingTest, HangIsDetectedByHeartbeatsAndRecovered) {
 }
 
 TEST(ElasticTrainingTest, OagPrefetchCrossesEpochFenceBitIdentical) {
-  // The overlap engine keeps weight-gather prefetches (and their lane-side
-  // pre-packs) in flight across FC layers; a crash can therefore land while
-  // prefetched collectives are pending on the z communicator. The epoch
+  // The overlap engine keeps weight-gather prefetches in flight across FC
+  // layers; a crash can therefore land while prefetched collectives are
+  // pending on the z communicator. The epoch
   // fence must drop the stale-epoch messages and the survivors' replay must
   // still be bit-identical — for several crash points, so the fence is hit
   // in different phases of the step (forward OAG window, backward OAR/ORS).

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "axonn/base/error.hpp"
 #include "axonn/comm/thread_comm.hpp"
+#include "axonn/tensor/bf16.hpp"
 
 namespace axonn::train {
 namespace {
@@ -68,6 +70,53 @@ TEST(GPTModelTest, InitialLossNearLogVocab) {
     const float loss = model.evaluate_loss(tiny_batch(4, 24, 2));
     EXPECT_NEAR(loss, std::log(16.0f), 0.8f);
   });
+}
+
+TEST(GPTModelTest, MixedPrecisionRoundsEveryLmHeadProduct) {
+  // Under mixed_precision the LM head follows the FC rule: its forward NN
+  // and both backward products (NT for the input grad, TN for the weight
+  // grad) consume bf16-rounded operands. Replacing the LM-head weight by its
+  // own bf16 rounding therefore changes no operand any GEMM sees, and the
+  // loss and every gradient must come out bitwise unchanged. An fp32 NT
+  // product would read the unrounded weight and move every gradient below
+  // the head.
+  TinyGPTConfig config = tiny_config();
+  config.mixed_precision = true;
+  const auto batch = tiny_batch(2, 24, 3);
+  struct StepResult {
+    float loss = 0;
+    std::vector<Matrix> grads;
+  };
+  const auto run_step = [&](bool round_lm_head) {
+    StepResult result;
+    comm::run_ranks(1, [&](comm::Communicator& world) {
+      core::Grid4D grid(world, sim::GridShape{1, 1, 1, 1});
+      GPTModel model(grid, config);
+      if (round_lm_head) {
+        Matrix* lm_head = nullptr;  // for_each_parameter visits it last
+        model.for_each_parameter([&](Matrix& p) { lm_head = &p; });
+        float changed = 0;
+        for (std::size_t i = 0; i < lm_head->size(); ++i) {
+          float& w = lm_head->data()[i];
+          changed = std::max(changed, std::abs(w - bf16_round(w)));
+          w = bf16_round(w);
+        }
+        ASSERT_GT(changed, 0.0f);
+      }
+      model.zero_grad();
+      result.loss = model.train_step(batch);
+      model.for_each_gradient([&](Matrix& g) { result.grads.push_back(g); });
+    });
+    return result;
+  };
+  const StepResult exact = run_step(false);
+  const StepResult rounded = run_step(true);
+  EXPECT_EQ(exact.loss, rounded.loss);
+  ASSERT_EQ(exact.grads.size(), rounded.grads.size());
+  for (std::size_t i = 0; i < exact.grads.size(); ++i) {
+    EXPECT_EQ(Matrix::max_abs_diff(exact.grads[i], rounded.grads[i]), 0.0f)
+        << "gradient tensor " << i;
+  }
 }
 
 TEST(GPTModelTest, ZShardingMatchesSerialTraining) {
