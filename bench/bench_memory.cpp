@@ -46,12 +46,10 @@ constexpr std::size_t kBatch = 4;
 constexpr std::size_t kLen = 17;  // input_len 16 after the target shift
 
 /// The pinned configuration the memory model is exact for: one rank, no
-/// OAG double-buffering, the tiled backend (packed panels observable), one
-/// GEMM lane.
+/// OAG double-buffering, one GEMM lane.
 train::TinyGPTConfig pinned_model_config() {
   train::TinyGPTConfig config;  // vocab 64, L2, h64, 4 heads
   config.overlap_collectives = false;
-  config.gemm_backend = GemmBackend::kTiled;
   return config;
 }
 
@@ -106,7 +104,6 @@ HwmRun run_tracked_window() {
     config.batch = static_cast<int>(kBatch);
     config.input_len = static_cast<int>(kLen) - 1;
     config.overlap_collectives = false;
-    config.tiled_backend = true;
     config.gemm_lanes = 1;
     config.journal_depth = sentinel_config.journal_depth;
     out.check = checker.finish(perf::predict_memory(config));

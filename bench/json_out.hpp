@@ -5,8 +5,8 @@
 // be tracked across PRs. Schema:
 //
 //   {"benchmark": "<name>",
-//    "flavor": {"_compiler": "...", "isa": "...", "native_arch": "...",
-//               "_hw_threads": "..."},
+//    "flavor": {"_compiler": "...", "_build_type": "...", "isa": "...",
+//               "native_arch": "...", "_hw_threads": "..."},
 //    "series": [{"name": "...", "units": "...",
 //                "points": [{"x": ..., "y": ...}, ...]}, ...]}
 //
@@ -15,8 +15,9 @@
 // disagree — a portable-tier smoke run versus a native-arch run is not a
 // regression, it is a different machine. Keys with a leading underscore are
 // informational only and excluded from that comparison; every file carries
-// "_compiler", the compiler that built the binary (the reference kernel's
-// speed moves with it).
+// "_compiler", the compiler that built the binary, and "_build_type", the
+// CMake build type it was built as (the reference kernel's speed moves ~15x
+// between RelWithDebInfo and Release).
 //
 // Human-readable tables on stdout are unchanged; JSON is additive.
 
@@ -34,6 +35,7 @@ class JsonSeriesWriter {
   explicit JsonSeriesWriter(std::string benchmark_name)
       : benchmark_name_(std::move(benchmark_name)) {
     set_flavor("_compiler", compiler_id());
+    set_flavor("_build_type", AXONN_BENCH_BUILD_TYPE);
   }
 
   void add(const std::string& series, double x, double y,

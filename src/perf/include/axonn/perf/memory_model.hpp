@@ -16,9 +16,9 @@
 // (untracked std::vector scratch is invisible to the arena and therefore
 // intentionally out of the model too), and predicts *process-total peak*
 // bytes per tag — ranks are threads here, so the arena counters are
-// process-wide sums. At world == 1 with a fixed backend the prediction is
-// exact up to small per-allocation headers; tests pin that configuration
-// and enforce <= 10% relative error.
+// process-wide sums. At world == 1 the prediction is exact up to small
+// per-allocation headers; tests pin that configuration and enforce <= 10%
+// relative error.
 
 #include <array>
 #include <cstddef>
@@ -48,7 +48,6 @@ struct MemoryModelConfig {
   int gdata = 1;
   // Runtime knobs that change the allocation picture.
   bool overlap_collectives = false;  ///< OAG double-buffers the weight block
-  bool tiled_backend = false;        ///< packed panels live iff kTiled
   int gemm_lanes = 1;                ///< concurrent A-pack scratch buffers
   int journal_depth = 0;             ///< sentinel snapshots retained (0 = off)
   int replica_slots = 0;             ///< in-memory checkpoint replicas (0 = off)

@@ -16,12 +16,13 @@ constexpr double kFloatBytes = 4.0;
 
 double ru16(double n) { return std::ceil(n / 16.0) * 16.0; }
 
-/// The four FC sublayers of one transformer block, (in, out).
+/// (in, out) of a weight product: x (R x in) times W (in x out).
 struct FcDims {
   double in = 0, out = 0;
 };
-std::array<FcDims, 4> block_fcs(double h) {
-  return {{{h, 3 * h}, {h, h}, {h, 4 * h}, {4 * h, h}}};
+/// The four FC sublayers of one transformer block, then the LM head.
+std::array<FcDims, 5> weight_products(double h, double v) {
+  return {{{h, 3 * h}, {h, h}, {h, 4 * h}, {4 * h, h}, {h, v}}};
 }
 
 }  // namespace
@@ -77,43 +78,54 @@ MemoryPrediction predict_memory(const MemoryModelConfig& config) {
   set(mem::Tag::kAdam, 2 * kFloatBytes * param_elems);
 
   // -- activations (gpt_model.cpp train_step, fc_layer.cpp) -----------------
-  // Peak is at the end of block 0's backward iteration: every block's
-  // forward cache is still retained (caches are freed only when train_step
-  // returns), the FC layers hold their cached inputs and dW send buffers,
-  // and the full backward working set of one block is live.
+  // Peak is in block 0's backward iteration: every block's forward cache is
+  // still retained (caches are freed only when train_step returns), the FC
+  // layers hold their cached inputs and dW send buffers, and the backward
+  // working set of one block is live.
   //
-  //   per-block cache: block_input(Rh) + ln1.normalized(Rh) + ln1_out(Rh) +
-  //     qkv_out(3Rh) + attn_concat(Rh) + after_attn(Rh) + ln2.normalized(Rh)
-  //     + ln2_out(Rh) + mlp_pre_gelu(4Rh) = 14Rh, plus the per-head softmax
-  //     probs (B * heads * len^2).
+  //   per-block cache: ln1.normalized(Rh) + qkv_out(3Rh) +
+  //     ln2.normalized(Rh) + mlp_pre_gelu(4Rh) = 9Rh. Attention
+  //     probabilities are recomputed in backward, not cached.
   //   per-block FC state: cached_input_ (ln1_out + attn_concat + ln2_out +
   //     mlp_act = 7Rh) and rs_send_buffer_ (sum in*out = 12h^2).
-  //   top level: x0 copy + final_in + final_out + d_normed = 4Rh, logits +
-  //     dlogits = 2Rv, and the lm_head dW GEMM temporary (hv).
-  //   block-0 backward set: d_after_attn + d_mlp_act(4) + d_mlp_pre(4) +
-  //     d_ln2_out + d_ln2_in + d_concat + d_qkv(3) + d_ln1_out + d_ln1_in +
-  //     dx = 18Rh.
-  const double act_elems =
-      L * (21 * R * h + B * config.heads * len * len + 12 * h * h) +
-      22 * R * h + 2 * R * v + h * v;
+  //   top level: final_out + d_normed = 2Rh, logits + dlogits = 2Rv, and
+  //     the lm_head dW GEMM temporary (hv).
+  //   block-0 backward set: dx + d_after_attn + d_mlp_act(4) + d_mlp_pre(4)
+  //     + d_ln2_out + d_ln2_in + d_concat + d_qkv(3) = 16Rh, plus the larger
+  //     of what follows attention backward (d_ln1_out + d_ln1_in = 2Rh) and
+  //     its per-head transient: one head's Q, K, V and dctx slices (4 len*dh)
+  //     beside P, dP and dS (3 len^2).
+  const double dh = h / config.heads;
+  const double attn_transient = 4 * len * dh + 3 * len * len;
+  const double act_elems = L * (16 * R * h + 12 * h * h) + 18 * R * h +
+                           std::max(2 * R * h, attn_transient) + 2 * R * v +
+                           h * v;
   set(mem::Tag::kActivations, kFloatBytes * W * act_elems);
 
   // -- packed panels (gemm_tiled.cpp) ---------------------------------------
-  // Tiled backend only. gemm_tiled() packs op(B) per call and frees it on
-  // return, so the peak is the largest single pack over the step's FC
-  // products — W (in x ru16(out)) forward, W^T (out x ru16(in)) for dI,
-  // dO (R x ru16(out)) for dW — plus the per-lane A-pack scratch that lives
-  // beside it (ceil(kBlockM/kTileMR)*kTileMR*kBlockK = 96*256 floats).
-  if (config.tiled_backend) {
-    double largest_pack = 0;
-    for (const FcDims& fc : block_fcs(h)) {
-      largest_pack = std::max({largest_pack, fc.in * ru16(fc.out),
-                               fc.out * ru16(fc.in), R * ru16(fc.out)});
-    }
-    const double a_scratch =
-        static_cast<double>(config.gemm_lanes) * 96.0 * 256.0;
-    set(mem::Tag::kPackedPanels, kFloatBytes * W * (largest_pack + a_scratch));
+  // Every GPT product runs on the tiled kernel. gemm_tiled() packs op(B)
+  // (k x ru16(n)) per call and frees it on return; beside it each lane that
+  // gets a task holds an A-pack of its largest block, ru6(min(m, kBlockM =
+  // 96)) x min(k, kBlockK = 256). The peak is the largest call over the
+  // step's products, op(A) (m x k) times op(B) (k x n):
+  //   FC sublayers and LM head, x (R x in) times W (in x out): forward
+  //     (R, in, out), dI (R, out, in), dW (in, R, out);
+  //   attention, per head: Q K^T and dctx V^T (len, dh, len), and P V,
+  //     P^T dctx, dS K and dS^T Q (len, len, dh).
+  const auto packed_call = [&](double m, double k, double n) {
+    const double tasks = std::ceil(m / 96.0) * std::ceil(ru16(n) / 128.0);
+    const double lanes = std::min<double>(config.gemm_lanes, tasks);
+    const double a_pack = std::ceil(std::min(m, 96.0) / 6.0) * 6.0 *
+                          std::min(k, 256.0);
+    return k * ru16(n) + lanes * a_pack;
+  };
+  double packed = std::max(packed_call(len, dh, len), packed_call(len, len, dh));
+  for (const FcDims& fc : weight_products(h, v)) {
+    packed = std::max({packed, packed_call(R, fc.in, fc.out),
+                       packed_call(R, fc.out, fc.in),
+                       packed_call(fc.in, R, fc.out)});
   }
+  set(mem::Tag::kPackedPanels, kFloatBytes * W * packed);
 
   // -- comm buffers (fc_layer.cpp backward) ---------------------------------
   // One shard-sized reduce-scatter receive staging buffer per FC per rank;

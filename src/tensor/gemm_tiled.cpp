@@ -178,8 +178,11 @@ void gemm_packed(bool trans_a, float alpha, const Matrix& a,
     // Worker-local A pack: tasks sharing a row block each pack their own
     // copy, trading ~groups/(2n) duplicated pack work for zero sharing.
     const mem::ArenaScope scope(mem::Tag::kPackedPanels);
-    mem::TrackedVector<float> a_pack(ceil_div(kBlockM, kTileMR) * kTileMR *
-                                     kBlockK);
+    // Sized for this problem's largest block, not the blocking bound: a
+    // small product (an attention head) allocates a few KiB, not 96 KiB.
+    mem::TrackedVector<float> a_pack(
+        ceil_div(std::min(kBlockM, m), kTileMR) * kTileMR *
+        std::min(kBlockK, packed_b.k));
     std::size_t my_tiles = 0;
     for (std::size_t t = static_cast<std::size_t>(lane); t < tasks;
          t += static_cast<std::size_t>(lanes)) {

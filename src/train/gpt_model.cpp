@@ -7,6 +7,7 @@
 #include "axonn/base/arena.hpp"
 #include "axonn/base/error.hpp"
 #include "axonn/base/trace.hpp"
+#include "axonn/tensor/gemm_tiled.hpp"
 
 namespace axonn::train {
 
@@ -25,6 +26,32 @@ void accumulate_row(Matrix& row_matrix, const std::vector<float>& values) {
 }
 
 constexpr float kNegInf = -1e9f;
+
+/// alpha * op(A) x op(B) on the tiled kernel; round_bf16 rounds the
+/// operands through bf16 as they are packed.
+Matrix tiled_product(GemmMode mode, float alpha, const Matrix& a,
+                     const Matrix& b, bool round_bf16 = false) {
+  const GemmShape shape = gemm_shape(mode, a, b);
+  Matrix c(shape.m, shape.n);
+  gemm_tiled(mode, alpha, a, b, 0.0f, c, round_bf16);
+  return c;
+}
+
+/// One head's causal softmax probabilities, softmax(mask(scale * Q K^T)).
+/// The full square is computed and the future half overwritten, so the
+/// masked probabilities are exact zeros.
+Matrix causal_attention_probs(const Matrix& q, const Matrix& k, float scale) {
+  Matrix scores = tiled_product(GemmMode::kNT, scale, q, k);
+  for (std::size_t i = 0; i < scores.rows(); ++i) {
+    std::fill(scores.row(i) + i + 1, scores.row(i) + scores.cols(), kNegInf);
+  }
+  return softmax_rows(scores);
+}
+
+/// `cols` moved right by `offset`: a head's K or V columns from its Q ones.
+Range shifted(Range cols, std::size_t offset) {
+  return {cols.begin + offset, cols.end + offset};
+}
 
 /// Index of the largest of row[0..n); the first maximum wins ties.
 std::size_t argmax(const float* row, std::size_t n) {
@@ -65,7 +92,7 @@ GPTModel::GPTModel(core::Grid4D& grid, const TinyGPTConfig& config)
   fc.mixed_precision = config.mixed_precision;
   fc.overlap_input_grad_all_reduce = config.overlap_collectives;
   fc.overlap_weight_grad_reduce_scatter = config.overlap_collectives;
-  fc.gemm_backend = config.gemm_backend;
+  fc.gemm_backend = GemmBackend::kTiled;
   fc.init_std = config.init_std;
   fc.abft = config.abft;
 
@@ -219,114 +246,65 @@ Matrix GPTModel::embed(const std::vector<TokenSeq>& sequences,
 }
 
 Matrix GPTModel::attention_forward(const Matrix& qkv_out, std::size_t batch,
-                                   std::size_t input_len, BlockCache* cache) {
+                                   std::size_t input_len) const {
   obs::SpanGuard span(obs::kCatCompute, "attn_fwd");
   const auto h = static_cast<std::size_t>(config_.hidden);
   const auto dh = static_cast<std::size_t>(head_dim_);
+  const auto heads = static_cast<std::size_t>(config_.heads);
   const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(head_dim_));
   Matrix concat(batch * input_len, h);
-  if (cache) {
-    cache->head_p.assign(batch * static_cast<std::size_t>(config_.heads),
-                         Matrix());
-  }
   for (std::size_t s = 0; s < batch; ++s) {
-    const std::size_t base = s * input_len;
-    for (int head = 0; head < config_.heads; ++head) {
-      const std::size_t q_off = static_cast<std::size_t>(head) * dh;
-      const std::size_t k_off = h + q_off;
-      const std::size_t v_off = 2 * h + q_off;
-      // Scores with causal mask, then row softmax.
-      Matrix scores(input_len, input_len);
-      for (std::size_t i = 0; i < input_len; ++i) {
-        const float* qi = qkv_out.row(base + i) + q_off;
-        for (std::size_t j = 0; j < input_len; ++j) {
-          if (j > i) {
-            scores(i, j) = kNegInf;
-            continue;
-          }
-          const float* kj = qkv_out.row(base + j) + k_off;
-          float dot = 0.0f;
-          for (std::size_t c = 0; c < dh; ++c) dot += qi[c] * kj[c];
-          scores(i, j) = dot * inv_sqrt;
-        }
-      }
-      Matrix p = softmax_rows(scores);
-      // ctx = P x V.
-      for (std::size_t i = 0; i < input_len; ++i) {
-        float* out = concat.row(base + i) + q_off;
-        std::fill(out, out + dh, 0.0f);
-        for (std::size_t j = 0; j <= i; ++j) {
-          const float pij = p(i, j);
-          if (pij == 0.0f) continue;
-          const float* vj = qkv_out.row(base + j) + v_off;
-          for (std::size_t c = 0; c < dh; ++c) out[c] += pij * vj[c];
-        }
-      }
-      if (cache) {
-        cache->head_p[s * static_cast<std::size_t>(config_.heads) +
-                      static_cast<std::size_t>(head)] = std::move(p);
-      }
+    const Range rows{s * input_len, (s + 1) * input_len};
+    for (std::size_t head = 0; head < heads; ++head) {
+      const Range q_cols{head * dh, (head + 1) * dh};
+      const Matrix q = qkv_out.block(rows, q_cols);
+      const Matrix k = qkv_out.block(rows, shifted(q_cols, h));
+      const Matrix v = qkv_out.block(rows, shifted(q_cols, 2 * h));
+      const Matrix p = causal_attention_probs(q, k, inv_sqrt);
+      concat.set_block(rows, q_cols, tiled_product(GemmMode::kNN, 1.0f, p, v));
     }
   }
   return concat;
 }
 
-Matrix GPTModel::attention_backward(const BlockCache& cache,
+Matrix GPTModel::attention_backward(const Matrix& qkv_out,
                                     const Matrix& d_concat, std::size_t batch,
-                                    std::size_t input_len) {
+                                    std::size_t input_len) const {
   obs::SpanGuard span(obs::kCatCompute, "attn_bwd");
   const auto h = static_cast<std::size_t>(config_.hidden);
   const auto dh = static_cast<std::size_t>(head_dim_);
+  const auto heads = static_cast<std::size_t>(config_.heads);
   const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  const Matrix& qkv_out = cache.qkv_out;
   Matrix d_qkv(batch * input_len, 3 * h);
   for (std::size_t s = 0; s < batch; ++s) {
-    const std::size_t base = s * input_len;
-    for (int head = 0; head < config_.heads; ++head) {
-      const std::size_t q_off = static_cast<std::size_t>(head) * dh;
-      const std::size_t k_off = h + q_off;
-      const std::size_t v_off = 2 * h + q_off;
-      const Matrix& p =
-          cache.head_p[s * static_cast<std::size_t>(config_.heads) +
-                       static_cast<std::size_t>(head)];
-
-      // dP(i,j) = dctx_i . V_j ; dV_j = sum_i P(i,j) dctx_i.
-      Matrix dp(input_len, input_len);
-      for (std::size_t i = 0; i < input_len; ++i) {
-        const float* dctx = d_concat.row(base + i) + q_off;
-        for (std::size_t j = 0; j <= i; ++j) {
-          const float* vj = qkv_out.row(base + j) + v_off;
-          float dot = 0.0f;
-          for (std::size_t c = 0; c < dh; ++c) dot += dctx[c] * vj[c];
-          dp(i, j) = dot;
-          const float pij = p(i, j);
-          float* dv = d_qkv.row(base + j) + v_off;
-          for (std::size_t c = 0; c < dh; ++c) dv[c] += pij * dctx[c];
-        }
-      }
-      const Matrix ds = softmax_rows_backward(dp, p);
-      // dQ_i = inv_sqrt * sum_j dS(i,j) K_j ; dK_j = inv_sqrt * sum_i
-      // dS(i,j) Q_i.
-      for (std::size_t i = 0; i < input_len; ++i) {
-        float* dq = d_qkv.row(base + i) + q_off;
-        const float* qi = qkv_out.row(base + i) + q_off;
-        for (std::size_t j = 0; j <= i; ++j) {
-          const float dsij = ds(i, j) * inv_sqrt;
-          if (dsij == 0.0f) continue;
-          const float* kj = qkv_out.row(base + j) + k_off;
-          float* dk = d_qkv.row(base + j) + k_off;
-          for (std::size_t c = 0; c < dh; ++c) {
-            dq[c] += dsij * kj[c];
-            dk[c] += dsij * qi[c];
-          }
-        }
-      }
+    const Range rows{s * input_len, (s + 1) * input_len};
+    for (std::size_t head = 0; head < heads; ++head) {
+      const Range q_cols{head * dh, (head + 1) * dh};
+      const Range k_cols = shifted(q_cols, h);
+      const Range v_cols = shifted(q_cols, 2 * h);
+      const Matrix q = qkv_out.block(rows, q_cols);
+      const Matrix k = qkv_out.block(rows, k_cols);
+      const Matrix v = qkv_out.block(rows, v_cols);
+      const Matrix d_ctx = d_concat.block(rows, q_cols);
+      // The forward's exact call on the forward's inputs: bitwise its P.
+      const Matrix p = causal_attention_probs(q, k, inv_sqrt);
+      // ctx = P V:  dP = dctx V^T,  dV = P^T dctx.
+      d_qkv.set_block(rows, v_cols,
+                      tiled_product(GemmMode::kTN, 1.0f, p, d_ctx));
+      const Matrix ds = softmax_rows_backward(
+          tiled_product(GemmMode::kNT, 1.0f, d_ctx, v), p);
+      // S = Q K^T / sqrt(dh):  dQ = dS K / sqrt(dh),  dK = dS^T Q / sqrt(dh).
+      // Masked entries have P = 0, hence dS = 0, and add nothing.
+      d_qkv.set_block(rows, q_cols,
+                      tiled_product(GemmMode::kNN, inv_sqrt, ds, k));
+      d_qkv.set_block(rows, k_cols,
+                      tiled_product(GemmMode::kTN, inv_sqrt, ds, q));
     }
   }
   return d_qkv;
 }
 
-Matrix GPTModel::forward_blocks(const Matrix& x0, std::size_t batch,
+Matrix GPTModel::forward_blocks(Matrix x, std::size_t batch,
                                 std::size_t input_len,
                                 std::vector<BlockCache>* caches) {
   if (caches) caches->assign(blocks_.size(), BlockCache());
@@ -338,46 +316,36 @@ Matrix GPTModel::forward_blocks(const Matrix& x0, std::size_t batch,
       for (auto* fc : block.fcs()) fc->begin_weight_gather();
     }
   }
-  Matrix x = x0;
   for (std::size_t l = 0; l < blocks_.size(); ++l) {
     Block& block = blocks_[l];
-    BlockCache* cache = caches ? &(*caches)[l] : nullptr;
     BlockCache scratch;
-    BlockCache& c = cache ? *cache : scratch;
+    BlockCache& c = caches ? (*caches)[l] : scratch;
 
-    c.block_input = x;
-    c.ln1_out = layernorm(x, row_vector(block.ln1_gamma),
-                          row_vector(block.ln1_beta), c.ln1);
-    c.qkv_out = block.qkv->forward(c.ln1_out);
-    c.attn_concat = attention_forward(c.qkv_out, batch, input_len, cache);
-    Matrix attn_proj = block.attn_out->forward(c.attn_concat);
-    c.after_attn = x;
-    c.after_attn.add_inplace(attn_proj);
-    c.ln2_out = layernorm(c.after_attn, row_vector(block.ln2_gamma),
-                          row_vector(block.ln2_beta), c.ln2);
-    c.mlp_pre_gelu = block.mlp_up->forward(c.ln2_out);
-    const Matrix mlp_act = gelu(c.mlp_pre_gelu);
-    Matrix mlp_out = block.mlp_down->forward(mlp_act);
-    x = c.after_attn;
-    x.add_inplace(mlp_out);
+    // The FC sublayers keep their own inputs for dW; the cache keeps only
+    // what the layernorm, attention and GELU backward passes read.
+    c.qkv_out = block.qkv->forward(layernorm(
+        x, row_vector(block.ln1_gamma), row_vector(block.ln1_beta), c.ln1));
+    x.add_inplace(block.attn_out->forward(
+        attention_forward(c.qkv_out, batch, input_len)));
+    c.mlp_pre_gelu = block.mlp_up->forward(layernorm(
+        x, row_vector(block.ln2_gamma), row_vector(block.ln2_beta), c.ln2));
+    x.add_inplace(block.mlp_down->forward(gelu(c.mlp_pre_gelu)));
   }
   return x;
 }
 
 Matrix GPTModel::forward_logits(const std::vector<TokenSeq>& sequences,
                                 std::size_t input_len,
-                                std::vector<BlockCache>* caches, Matrix* x0_out,
+                                std::vector<BlockCache>* caches,
                                 LayerNormCache* final_ln_cache,
-                                Matrix* final_in, Matrix* final_out) {
+                                Matrix* final_out) {
   AXONN_CHECK(!sequences.empty());
   // All forward-pass tensors are activations unless an inner scope (packed
   // panels, comm staging) says otherwise. Covers generate/probe callers that
   // bypass train_step.
   const mem::ArenaScope scope(mem::Tag::kActivations);
-  const Matrix x0 = embed(sequences, input_len);
-  if (x0_out) *x0_out = x0;
-  Matrix x = forward_blocks(x0, sequences.size(), input_len, caches);
-  if (final_in) *final_in = x;
+  const Matrix x = forward_blocks(embed(sequences, input_len),
+                                  sequences.size(), input_len, caches);
   LayerNormCache scratch;
   LayerNormCache& flc = final_ln_cache ? *final_ln_cache : scratch;
   Matrix normed = layernorm(x, row_vector(final_gamma_),
@@ -388,15 +356,15 @@ Matrix GPTModel::forward_logits(const std::vector<TokenSeq>& sequences,
 
 Matrix GPTModel::lm_head_gemm(GemmMode mode, const Matrix& a,
                               const Matrix& b) const {
-  return config_.mixed_precision ? gemm_bf16(mode, a, b) : gemm(mode, a, b);
+  return tiled_product(mode, 1.0f, a, b, config_.mixed_precision);
 }
 
 float GPTModel::train_step(const std::vector<TokenSeq>& sequences,
                            const GoldfishConfig* goldfish) {
   // One flight-recorder iteration window per training step (Fig. 5). The
   // whole step runs under the activations tag: forward caches, backward d_*
-  // temporaries, attention probs — anything a longer-lived subsystem owns
-  // re-tags itself in an inner scope.
+  // temporaries, per-head attention tiles — anything a longer-lived
+  // subsystem owns re-tags itself in an inner scope.
   obs::IterationScope iteration;
   const mem::ArenaScope scope(mem::Tag::kActivations);
   AXONN_CHECK(!sequences.empty());
@@ -411,10 +379,10 @@ float GPTModel::train_step(const std::vector<TokenSeq>& sequences,
   invalidate_fc_caches();
 
   std::vector<BlockCache> caches;
-  Matrix x0, final_in, final_out;
+  Matrix final_out;
   LayerNormCache final_ln;
-  const Matrix logits = forward_logits(sequences, input_len, &caches, &x0,
-                                       &final_ln, &final_in, &final_out);
+  const Matrix logits =
+      forward_logits(sequences, input_len, &caches, &final_ln, &final_out);
 
   // Targets and (optional) goldfish mask over next-token positions.
   std::vector<std::int32_t> targets(batch * input_len);
@@ -463,7 +431,7 @@ float GPTModel::train_step(const std::vector<TokenSeq>& sequences,
 
     // Attention branch.
     Matrix d_concat = block.attn_out->backward(d_after_attn);
-    Matrix d_qkv = attention_backward(c, d_concat, batch, input_len);
+    Matrix d_qkv = attention_backward(c.qkv_out, d_concat, batch, input_len);
     Matrix d_ln1_out = block.qkv->backward(d_qkv);
     std::vector<float> dg1, db1;
     Matrix d_ln1_in = layernorm_backward(d_ln1_out, c.ln1,
@@ -498,8 +466,7 @@ float GPTModel::evaluate_loss(const std::vector<TokenSeq>& sequences) {
   invalidate_fc_caches();
   const std::size_t input_len = sequences.front().size() - 1;
   const Matrix logits =
-      forward_logits(sequences, input_len, nullptr, nullptr, nullptr, nullptr,
-                     nullptr);
+      forward_logits(sequences, input_len, nullptr, nullptr, nullptr);
   std::vector<std::int32_t> targets(sequences.size() * input_len);
   for (std::size_t s = 0; s < sequences.size(); ++s) {
     for (std::size_t i = 0; i < input_len; ++i) {
@@ -509,14 +476,19 @@ float GPTModel::evaluate_loss(const std::vector<TokenSeq>& sequences) {
   return cross_entropy_loss(logits, targets, {});
 }
 
+Matrix GPTModel::logits(const TokenSeq& tokens) {
+  invalidate_fc_caches();
+  return forward_logits({tokens}, tokens.size(), nullptr, nullptr, nullptr);
+}
+
 TokenSeq GPTModel::greedy_generate(const TokenSeq& prompt, int new_tokens) {
   AXONN_CHECK(!prompt.empty());
   invalidate_fc_caches();
   TokenSeq sequence = prompt;
   for (int step = 0; step < new_tokens; ++step) {
     AXONN_CHECK(sequence.size() <= static_cast<std::size_t>(config_.max_seq));
-    const Matrix logits = forward_logits({sequence}, sequence.size(), nullptr,
-                                         nullptr, nullptr, nullptr, nullptr);
+    const Matrix logits = forward_logits({sequence}, sequence.size(),
+                                         nullptr, nullptr, nullptr);
     sequence.push_back(static_cast<std::int32_t>(
         argmax(logits.row(logits.rows() - 1), logits.cols())));
   }
@@ -526,16 +498,14 @@ TokenSeq GPTModel::greedy_generate(const TokenSeq& prompt, int new_tokens) {
 double GPTModel::probe_accuracy(const TokenSeq& document, int probe_tokens) {
   AXONN_CHECK(probe_tokens > 0 &&
               document.size() > static_cast<std::size_t>(probe_tokens));
-  invalidate_fc_caches();
-  const std::size_t input_len = document.size() - 1;
-  const Matrix logits = forward_logits({document}, input_len, nullptr, nullptr,
-                                       nullptr, nullptr, nullptr);
+  const Matrix next =
+      logits(TokenSeq(document.begin(), document.end() - 1));
   const std::size_t probe_begin =
       document.size() - static_cast<std::size_t>(probe_tokens);
   int correct = 0;
   for (std::size_t pos = probe_begin; pos < document.size(); ++pos) {
     // logits[i] predicts token i+1.
-    const std::size_t best = argmax(logits.row(pos - 1), logits.cols());
+    const std::size_t best = argmax(next.row(pos - 1), next.cols());
     if (static_cast<std::int32_t>(best) == document[pos]) ++correct;
   }
   return static_cast<double>(correct) / probe_tokens;

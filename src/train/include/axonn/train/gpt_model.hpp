@@ -39,14 +39,11 @@ struct TinyGPTConfig {
   int heads = 4;
   float init_std = 0.06f;
   /// Round the operands of every FC-sublayer and LM-head GEMM through bf16.
+  /// The attention products stay fp32.
   bool mixed_precision = false;
   std::uint64_t seed = 1;
   /// ORS/OAR/OAG on the FC sublayers.
   bool overlap_collectives = true;
-  /// GEMM backend for the FC sublayers (see FCOptions::gemm_backend).
-  /// kTiled exercises the packed-panel path, which the memory
-  /// benches/checker use to make the packed_panels tag observable.
-  GemmBackend gemm_backend = GemmBackend::kReference;
   /// ABFT checksum verification on every FC GEMM (see FCOptions::abft and
   /// DESIGN.md §9). Off by default; AXONN_INTEGRITY overrides per process.
   integrity::AbftOptions abft;
@@ -100,8 +97,12 @@ class GPTModel {
   /// Mean next-token loss without gradients. NOTE: like every forward pass,
   /// this is collective when gz > 1 (weight all-gathers over the Z group);
   /// all ranks of the grid must call it — the same applies to
-  /// greedy_generate / exact_match / probe_accuracy.
+  /// logits / greedy_generate / exact_match / probe_accuracy.
   float evaluate_loss(const std::vector<TokenSeq>& sequences);
+
+  /// Teacher-forced logits of one sequence, (tokens.size() x vocab): row i
+  /// predicts token i + 1 from tokens[0..i].
+  Matrix logits(const TokenSeq& tokens);
 
   /// Greedy decoding: extends `prompt` by `new_tokens` tokens.
   TokenSeq greedy_generate(const TokenSeq& prompt, int new_tokens);
@@ -138,35 +139,33 @@ class GPTModel {
     }
   };
 
+  /// What one block's backward reads beyond the FC sublayers' own cached
+  /// inputs.
   struct BlockCache {
-    Matrix block_input;
     LayerNormCache ln1;
-    Matrix ln1_out;
     Matrix qkv_out;
-    std::vector<Matrix> head_p;  ///< softmax probs, per (seq, head)
-    Matrix attn_concat;
-    Matrix after_attn;  ///< residual + attn projection
     LayerNormCache ln2;
-    Matrix ln2_out;
     Matrix mlp_pre_gelu;
   };
 
   Matrix embed(const std::vector<TokenSeq>& sequences, std::size_t input_len);
-  Matrix forward_blocks(const Matrix& x0, std::size_t batch,
-                        std::size_t input_len,
+  Matrix forward_blocks(Matrix x, std::size_t batch, std::size_t input_len,
                         std::vector<BlockCache>* caches);
+  /// Causal multi-head attention over the packed [Q | K | V] columns of
+  /// `qkv_out`. Both directions run one set of gemm_tiled products per
+  /// (sequence, head); backward recomputes the softmax probabilities with
+  /// the forward's own call instead of caching them.
   Matrix attention_forward(const Matrix& qkv_out, std::size_t batch,
-                           std::size_t input_len, BlockCache* cache);
-  Matrix attention_backward(const BlockCache& cache, const Matrix& d_concat,
-                            std::size_t batch, std::size_t input_len);
+                           std::size_t input_len) const;
+  Matrix attention_backward(const Matrix& qkv_out, const Matrix& d_concat,
+                            std::size_t batch, std::size_t input_len) const;
   Matrix forward_logits(const std::vector<TokenSeq>& sequences,
                         std::size_t input_len,
-                        std::vector<BlockCache>* caches, Matrix* x0_out,
-                        LayerNormCache* final_ln_cache, Matrix* final_in,
-                        Matrix* final_out);
-  /// One LM-head product. Like the FC sublayers, all three (forward NN,
-  /// backward NT and TN) round their operands through bf16 under
-  /// mixed_precision.
+                        std::vector<BlockCache>* caches,
+                        LayerNormCache* final_ln_cache, Matrix* final_out);
+  /// One LM-head product on the tiled kernel. Like the FC sublayers, all
+  /// three (forward NN, backward NT and TN) round their operands through
+  /// bf16 under mixed_precision.
   Matrix lm_head_gemm(GemmMode mode, const Matrix& a, const Matrix& b) const;
 
   /// Marks every FC sublayer's gathered-weight cache stale: weights may

@@ -48,21 +48,27 @@ TEST(PredictMemoryTest, ParameterTagsScaleTogether) {
   EXPECT_DOUBLE_EQ(p.of(mem::Tag::kAdam), 2.0 * p.of(mem::Tag::kGrads));
   // Weights >= grads: same parameter inventory plus the gathered blocks.
   EXPECT_GT(p.of(mem::Tag::kWeights), p.of(mem::Tag::kGrads));
+  EXPECT_GT(p.of(mem::Tag::kPackedPanels), 0.0);
   EXPECT_DOUBLE_EQ(p.total(), p.of(mem::Tag::kWeights) +
                                   p.of(mem::Tag::kGrads) +
                                   p.of(mem::Tag::kAdam) +
                                   p.of(mem::Tag::kActivations) +
+                                  p.of(mem::Tag::kPackedPanels) +
                                   p.of(mem::Tag::kCommBuffers));
 }
 
 TEST(PredictMemoryTest, KnobsToggleTheirTags) {
   MemoryModelConfig config;
   const MemoryPrediction base = predict_memory(config);
-  EXPECT_DOUBLE_EQ(base.of(mem::Tag::kPackedPanels), 0.0);
   EXPECT_DOUBLE_EQ(base.of(mem::Tag::kJournal), 0.0);
 
-  config.tiled_backend = true;
-  EXPECT_GT(predict_memory(config).of(mem::Tag::kPackedPanels), 0.0);
+  // Every lane that gets a task holds its own A-pack beside the shared op(B)
+  // pack; 8 sequences give the FC products two row blocks, hence two tasks.
+  config.batch = 8;
+  const double one_lane = predict_memory(config).of(mem::Tag::kPackedPanels);
+  config.gemm_lanes = 2;
+  EXPECT_GT(predict_memory(config).of(mem::Tag::kPackedPanels), one_lane);
+  config.gemm_lanes = 1;
 
   config.overlap_collectives = true;
   EXPECT_GT(predict_memory(config).of(mem::Tag::kWeights),
@@ -172,7 +178,6 @@ TEST(MemoryModelVsRuntimeTest, TinyGPTWithin10Percent) {
 
     train::TinyGPTConfig model_config;  // vocab 64, L2, h64, 4 heads
     model_config.overlap_collectives = false;
-    model_config.gemm_backend = GemmBackend::kTiled;
 
     core::Grid4D grid(world, sim::GridShape{1, 1, 1, 1});
     train::GPTModel model(grid, model_config);
@@ -226,7 +231,6 @@ TEST(MemoryModelVsRuntimeTest, TinyGPTWithin10Percent) {
     config.batch = static_cast<int>(kBatch);
     config.input_len = static_cast<int>(kLen) - 1;
     config.overlap_collectives = model_config.overlap_collectives;
-    config.tiled_backend = true;
     config.gemm_lanes = 1;
     config.journal_depth = sentinel_config.journal_depth;
     const auto result = checker.finish(predict_memory(config));

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "axonn/base/error.hpp"
 #include "axonn/comm/thread_comm.hpp"
@@ -117,6 +118,81 @@ TEST(GPTModelTest, MixedPrecisionRoundsEveryLmHeadProduct) {
     EXPECT_EQ(Matrix::max_abs_diff(exact.grads[i], rounded.grads[i]), 0.0f)
         << "gradient tensor " << i;
   }
+}
+
+TEST(GPTModelTest, AnalyticGradientsMatchCentralDifferences) {
+  // train_step's backward (attention included) against central differences
+  // of evaluate_loss, on entries of the QKV weight (in its Q, K and V column
+  // blocks, so every attention gradient path is exercised) and
+  // of pos_emb (the path through every block's attention). fp32 losses with
+  // eps = 1e-2 leave ~1e-5 of rounding and truncation error in a difference
+  // quotient; the tolerance is 1e-4 absolute plus 1% of the gradient.
+  constexpr float kEps = 1e-2f;
+  const auto batch = tiny_batch(2, 12, 5);
+  comm::run_ranks(1, [&](comm::Communicator& world) {
+    core::Grid4D grid(world, sim::GridShape{1, 1, 1, 1});
+    TinyGPTConfig config = tiny_config();
+    config.init_std = 0.2f;  // gradients well above the rounding noise
+    GPTModel model(grid, config);
+    std::vector<Matrix*> params, grads;
+    model.for_each_parameter([&](Matrix& p) { params.push_back(&p); });
+    model.for_each_gradient([&](Matrix& g) { grads.push_back(&g); });
+    model.zero_grad();
+    model.train_step(batch);
+
+    // Registration order: tok_emb, pos_emb, then per block the four
+    // layernorm vectors before the QKV shard (hidden x 3*hidden).
+    constexpr std::size_t kPosEmb = 1;
+    constexpr std::size_t kQkv = 6;
+    const std::size_t h = static_cast<std::size_t>(config.hidden);
+    ASSERT_EQ(params[kQkv]->cols(), 3 * h);
+    struct Entry {
+      std::size_t tensor, row, col;
+    };
+    const Entry entries[] = {{kQkv, 3, 1},        {kQkv, 10, h + 5},
+                             {kQkv, 17, 2 * h + 7}, {kQkv, 0, h + h / 2},
+                             {kPosEmb, 0, 4},       {kPosEmb, 5, 11},
+                             {kPosEmb, 10, 20}};
+    for (const Entry& e : entries) {
+      float& w = (*params[e.tensor])(e.row, e.col);
+      const float analytic = (*grads[e.tensor])(e.row, e.col);
+      const float original = w;
+      w = original + kEps;
+      const float up = model.evaluate_loss(batch);
+      w = original - kEps;
+      const float down = model.evaluate_loss(batch);
+      w = original;
+      const float numeric = (up - down) / (2.0f * kEps);
+      EXPECT_NEAR(analytic, numeric, 1e-4f + 0.01f * std::abs(numeric))
+          << "tensor " << e.tensor << " (" << e.row << ", " << e.col << ")";
+    }
+  });
+}
+
+TEST(GPTModelTest, LogitsAreCausal) {
+  // Changing token j may move the logits at positions >= j only: every row
+  // before j must come out bitwise unchanged.
+  comm::run_ranks(1, [](comm::Communicator& world) {
+    core::Grid4D grid(world, sim::GridShape{1, 1, 1, 1});
+    GPTModel model(grid, tiny_config());
+    const TokenSeq tokens = tiny_batch(1, 20, 6).front();
+    const Matrix base = model.logits(tokens);
+    ASSERT_EQ(base.rows(), tokens.size());
+    for (const std::size_t j : {std::size_t{1}, std::size_t{9},
+                                tokens.size() - 1}) {
+      TokenSeq changed = tokens;
+      changed[j] = (changed[j] + 5) % 16;
+      const Matrix moved = model.logits(changed);
+      const auto same_row = [&](std::size_t i) {
+        return std::memcmp(base.row(i), moved.row(i),
+                           base.cols() * sizeof(float)) == 0;
+      };
+      for (std::size_t i = 0; i < j; ++i) {
+        EXPECT_TRUE(same_row(i)) << "row " << i << ", token " << j;
+      }
+      EXPECT_FALSE(same_row(j)) << "token " << j << " reaches no row";
+    }
+  });
 }
 
 TEST(GPTModelTest, ZShardingMatchesSerialTraining) {
