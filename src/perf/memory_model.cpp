@@ -78,7 +78,7 @@ MemoryPrediction predict_memory(const MemoryModelConfig& config) {
   set(mem::Tag::kAdam, 2 * kFloatBytes * param_elems);
 
   // -- activations (gpt_model.cpp train_step, fc_layer.cpp) -----------------
-  // Peak is in block 0's backward iteration: every block's forward cache is
+  // Peak is in a block's backward iteration: every block's forward cache is
   // still retained (caches are freed only when train_step returns), the FC
   // layers hold their cached inputs and dW send buffers, and the backward
   // working set of one block is live.
@@ -88,18 +88,25 @@ MemoryPrediction predict_memory(const MemoryModelConfig& config) {
   //     probabilities are recomputed in backward, not cached.
   //   per-block FC state: cached_input_ (ln1_out + attn_concat + ln2_out +
   //     mlp_act = 7Rh) and rs_send_buffer_ (sum in*out = 12h^2).
-  //   top level: final_out + d_normed = 2Rh, logits + dlogits = 2Rv, and
-  //     the lm_head dW GEMM temporary (hv).
-  //   block-0 backward set: dx + d_after_attn + d_mlp_act(4) + d_mlp_pre(4)
-  //     + d_ln2_out + d_ln2_in + d_concat + d_qkv(3) = 16Rh, plus the larger
-  //     of what follows attention backward (d_ln1_out + d_ln1_in = 2Rh) and
-  //     its per-head transient: one head's Q, K, V and dctx slices (4 len*dh)
-  //     beside P, dP and dS (3 len^2).
+  //   top level: final_out + the final layernorm's normalized + d_normed =
+  //     3Rh and logits + dlogits = 2Rv, beside either the lm_head dW GEMM
+  //     temporary (hv) or one block's backward set.
+  //   block backward set: dx + d_after_attn + d_mlp_act(4) + d_mlp_pre(4)
+  //     + d_ln2_out + d_ln2_in + d_concat + d_qkv(3) = 16Rh, plus the
+  //     largest of what follows: attention backward's per-head transient
+  //     (one head's Q, K, V and dctx slices, 4 len*dh, beside P, dP and dS,
+  //     3 len^2); qkv's backward, whose dI (Rh) is live while its new dW
+  //     GEMM output (3h^2) is built before the rs_send_buffer_ it replaces
+  //     is freed; d_ln1_out + d_ln1_in (2Rh). The same replacement in
+  //     mlp_up's backward peaks at 10Rh + dI(Rh) + dW(4h^2).
   const double dh = h / config.heads;
   const double attn_transient = 4 * len * dh + 3 * len * len;
-  const double act_elems = L * (16 * R * h + 12 * h * h) + 18 * R * h +
-                           std::max(2 * R * h, attn_transient) + 2 * R * v +
-                           h * v;
+  const double block_backward =
+      std::max(16 * R * h + std::max({2 * R * h, attn_transient,
+                                      R * h + 3 * h * h}),
+               11 * R * h + 4 * h * h);
+  const double act_elems = L * (16 * R * h + 12 * h * h) + 3 * R * h +
+                           2 * R * v + std::max(block_backward, h * v);
   set(mem::Tag::kActivations, kFloatBytes * W * act_elems);
 
   // -- packed panels (gemm_tiled.cpp) ---------------------------------------

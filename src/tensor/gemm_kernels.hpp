@@ -16,6 +16,14 @@
 //     both back with the same per-tile code. Pairing never changes any
 //     element's accumulation order, so tile2-vs-tile1 coverage of a row is
 //     a pure register-reuse optimization.
+//   - row computes one row of C over a k-slab straight from a row-major
+//     op(B) = B, with no packing: it fully writes acc[0..n) with
+//     sum_l a[l] * b[l*ldb + j] at [j], accumulating each element from zero
+//     in ascending l with exactly the per-term arithmetic of the tier's
+//     tile1 (one FMA per l in the vector tiers, the portable tier's own
+//     `+= a * b` expression). The caller then applies C += alpha * acc per
+//     slab like the packed path, so a one-row product is bitwise identical
+//     to the same row of a packed product.
 //   - round_bf16 rounds `count` fp32 values through bf16 (round-to-nearest-
 //     even, NaN quieted) from src to dst; src == dst is allowed. Applied to
 //     whole packed panels, never to strided operand views.
@@ -38,11 +46,14 @@ using GemmTile1Fn = void (*)(std::size_t kc, const float* a_panel,
 using GemmTile2Fn = void (*)(std::size_t kc, const float* a_panel,
                              const float* b_panel0, const float* b_panel1,
                              float* acc);
+using GemmRowFn = void (*)(std::size_t kc, std::size_t n, const float* a,
+                           const float* b, std::size_t ldb, float* acc);
 using RoundBf16Fn = void (*)(const float* src, float* dst, std::size_t count);
 
 struct GemmMicroKernels {
   GemmTile1Fn tile1 = nullptr;
   GemmTile2Fn tile2 = nullptr;  ///< nullptr: caller loops tile1
+  GemmRowFn row = nullptr;
   RoundBf16Fn round_bf16 = nullptr;
   bool native_bf16 = false;  ///< round_bf16 uses conversion instructions
   const char* name = "";

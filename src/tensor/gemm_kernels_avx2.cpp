@@ -13,6 +13,8 @@
 
 #include <immintrin.h>
 
+#include <cmath>
+
 #include "axonn/tensor/bf16.hpp"
 
 namespace axonn::detail {
@@ -46,6 +48,39 @@ void tile1_avx2(std::size_t kc, const float* __restrict a_panel,
   }
 }
 
+// One row of C, 32 columns (4 ymm accumulators) at a time, then 8, then a
+// scalar std::fma tail: each element is the same FMA chain as in tile1.
+void row_avx2(std::size_t kc, std::size_t n, const float* __restrict a,
+              const float* __restrict b, std::size_t ldb,
+              float* __restrict acc) {
+  std::size_t j = 0;
+  for (; j + 32 <= n; j += 32) {
+    __m256 c[4];
+    for (auto& v : c) v = _mm256_setzero_ps();
+    for (std::size_t l = 0; l < kc; ++l) {
+      const __m256 av = _mm256_broadcast_ss(a + l);
+      const float* b_row = b + l * ldb + j;
+      for (std::size_t v = 0; v < 4; ++v) {
+        c[v] = _mm256_fmadd_ps(av, _mm256_loadu_ps(b_row + 8 * v), c[v]);
+      }
+    }
+    for (std::size_t v = 0; v < 4; ++v) _mm256_storeu_ps(acc + j + 8 * v, c[v]);
+  }
+  for (; j + 8 <= n; j += 8) {
+    __m256 c = _mm256_setzero_ps();
+    for (std::size_t l = 0; l < kc; ++l) {
+      c = _mm256_fmadd_ps(_mm256_broadcast_ss(a + l),
+                          _mm256_loadu_ps(b + l * ldb + j), c);
+    }
+    _mm256_storeu_ps(acc + j, c);
+  }
+  for (; j < n; ++j) {
+    float c = 0.0f;
+    for (std::size_t l = 0; l < kc; ++l) c = std::fma(a[l], b[l * ldb + j], c);
+    acc[j] = c;
+  }
+}
+
 // AVX2 has no bf16 conversion instructions; the rounding itself is integer
 // bit arithmetic, which the compiler vectorizes fine from the scalar form.
 void round_bf16_avx2(const float* src, float* dst, std::size_t count) {
@@ -55,7 +90,8 @@ void round_bf16_avx2(const float* src, float* dst, std::size_t count) {
 }  // namespace
 
 const GemmMicroKernels& avx2_gemm_kernels() {
-  static const GemmMicroKernels kernels{&tile1_avx2, nullptr, &round_bf16_avx2,
+  static const GemmMicroKernels kernels{&tile1_avx2, nullptr, &row_avx2,
+                                        &round_bf16_avx2,
                                         /*native_bf16=*/false, "avx2"};
   return kernels;
 }

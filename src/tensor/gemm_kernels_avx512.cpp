@@ -72,6 +72,39 @@ void tile2_avx512(std::size_t kc, const float* __restrict a_panel,
   }
 }
 
+// One row of C, 128 columns (8 zmm accumulators) at a time, then 16 at a
+// time with a masked load/store for the last partial vector: each element
+// is the same FMA chain as in tile1.
+void row_avx512(std::size_t kc, std::size_t n, const float* __restrict a,
+                const float* __restrict b, std::size_t ldb,
+                float* __restrict acc) {
+  std::size_t j = 0;
+  for (; j + 128 <= n; j += 128) {
+    __m512 c[8];
+    for (auto& v : c) v = _mm512_setzero_ps();
+    for (std::size_t l = 0; l < kc; ++l) {
+      const __m512 av = _mm512_set1_ps(a[l]);
+      const float* b_row = b + l * ldb + j;
+      for (std::size_t v = 0; v < 8; ++v) {
+        c[v] = _mm512_fmadd_ps(av, _mm512_loadu_ps(b_row + 16 * v), c[v]);
+      }
+    }
+    for (std::size_t v = 0; v < 8; ++v) {
+      _mm512_storeu_ps(acc + j + 16 * v, c[v]);
+    }
+  }
+  for (; j < n; j += 16) {
+    const __mmask16 mask =
+        n - j >= 16 ? __mmask16(0xFFFF) : __mmask16((1u << (n - j)) - 1);
+    __m512 c = _mm512_setzero_ps();
+    for (std::size_t l = 0; l < kc; ++l) {
+      c = _mm512_fmadd_ps(_mm512_set1_ps(a[l]),
+                          _mm512_maskz_loadu_ps(mask, b + l * ldb + j), c);
+    }
+    _mm512_mask_storeu_ps(acc + j, mask, c);
+  }
+}
+
 void round_bf16_scalar(const float* src, float* dst, std::size_t count) {
   for (std::size_t x = 0; x < count; ++x) dst[x] = bf16_round(src[x]);
 }
@@ -119,6 +152,7 @@ const GemmMicroKernels& avx512_gemm_kernels() {
     GemmMicroKernels k;
     k.tile1 = &tile1_avx512;
     k.tile2 = &tile2_avx512;
+    k.row = &row_avx512;
     k.round_bf16 = pick_round_bf16(&k.native_bf16);
     k.name = "avx512";
     return k;

@@ -31,6 +31,19 @@ void tile1_portable(std::size_t kc, const float* __restrict a_panel,
   for (std::size_t x = 0; x < kTileMR * kTileNR; ++x) acc[x] = local[x];
 }
 
+// One row of C read from B in place. Each term is tile1's `+= av * b[j]`
+// expression in the same TU, so the build contracts it (or not) alike.
+void row_portable(std::size_t kc, std::size_t n, const float* __restrict a,
+                  const float* __restrict b, std::size_t ldb,
+                  float* __restrict acc) {
+  for (std::size_t j = 0; j < n; ++j) acc[j] = 0.0f;
+  for (std::size_t l = 0; l < kc; ++l) {
+    const float av = a[l];
+    const float* b_row = b + l * ldb;
+    for (std::size_t j = 0; j < n; ++j) acc[j] += av * b_row[j];
+  }
+}
+
 void round_bf16_portable(const float* src, float* dst, std::size_t count) {
   for (std::size_t x = 0; x < count; ++x) dst[x] = bf16_round(src[x]);
 }
@@ -39,7 +52,7 @@ void round_bf16_portable(const float* src, float* dst, std::size_t count) {
 
 const GemmMicroKernels& portable_gemm_kernels() {
   static const GemmMicroKernels kernels{
-      &tile1_portable, nullptr, &round_bf16_portable,
+      &tile1_portable, nullptr, &row_portable, &round_bf16_portable,
       /*native_bf16=*/false, "portable"};
   return kernels;
 }

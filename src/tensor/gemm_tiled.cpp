@@ -147,23 +147,13 @@ PackedB pack_b(const Matrix& b, bool transpose, bool round_bf16) {
   return out;
 }
 
-// C = alpha * op(A) x packed-op(B) + beta * C; `trans_a` selects
-// op(A) = A^T. Shapes were validated by gemm_tiled().
+// C += alpha * op(A) x packed-op(B); `trans_a` selects op(A) = A^T. Shapes
+// were validated, and C scaled by beta, by gemm_tiled().
 void gemm_packed(bool trans_a, float alpha, const Matrix& a,
-                 const PackedB& packed_b, float beta, Matrix& c,
-                 bool round_bf16, int budget) {
+                 const PackedB& packed_b, Matrix& c, bool round_bf16,
+                 int budget) {
   const std::size_t m = trans_a ? a.cols() : a.rows();
   const detail::GemmMicroKernels& kernels = detail::active_gemm_kernels();
-  if (beta == 0.0f) {
-    c.set_zero();
-  } else if (beta != 1.0f) {
-    c.scale_inplace(beta);
-  }
-  // BLAS semantics: alpha == 0 means C = beta * C without touching A or B.
-  if (alpha == 0.0f || m == 0 || packed_b.n == 0 || packed_b.k == 0) {
-    return;
-  }
-
   const std::size_t n = packed_b.n;
   const std::size_t n_tiles = packed_b.n_tiles();
   const std::size_t k_blocks = packed_b.k_blocks();
@@ -258,6 +248,27 @@ void gemm_packed(bool trans_a, float alpha, const Matrix& a,
   }
 }
 
+// C += alpha * a x B for a one-row `a`, reading B in place: a one-row product
+// would spend most of its time packing op(B), and every packed panel would be
+// read once. Per element it runs the packed path's sequence (a zeroed
+// accumulator per kBlockK slab, the tier's FMA per l, then add_tile), so it
+// is bitwise that path's row. Single-lane: a row is too little work to split.
+void gemm_row(float alpha, const Matrix& a, const Matrix& b, Matrix& c) {
+  const detail::GemmMicroKernels& kernels = detail::active_gemm_kernels();
+  const std::size_t k = b.rows();
+  const std::size_t n = b.cols();
+  constexpr std::size_t kRowChunk = 16 * kTileNR;
+  alignas(64) float acc[kRowChunk];
+  for (std::size_t j0 = 0; j0 < n; j0 += kRowChunk) {
+    const std::size_t jn = std::min(kRowChunk, n - j0);
+    for (std::size_t l0 = 0; l0 < k; l0 += kBlockK) {
+      kernels.row(std::min(kBlockK, k - l0), jn, a.data() + l0,
+                  b.row(l0) + j0, n, acc);
+      add_tile(alpha, acc, c, 0, 1, j0, jn);
+    }
+  }
+}
+
 }  // namespace
 
 void gemm_tiled(GemmMode mode, float alpha, const Matrix& a, const Matrix& b,
@@ -268,8 +279,19 @@ void gemm_tiled(GemmMode mode, float alpha, const Matrix& a, const Matrix& b,
   const int budget = gemm_threads();
   detail::record_gemm_dispatch(GemmBackend::kTiled, mode, shape, round_bf16,
                                active_gemm_isa(), budget);
+  if (beta == 0.0f) {
+    c.set_zero();
+  } else if (beta != 1.0f) {
+    c.scale_inplace(beta);
+  }
+  // BLAS semantics: alpha == 0 means C = beta * C without touching A or B.
+  if (alpha == 0.0f || shape.m == 0 || shape.n == 0 || shape.k == 0) return;
+  if (shape.m == 1 && mode == GemmMode::kNN && !round_bf16) {
+    gemm_row(alpha, a, b, c);
+    return;
+  }
   const PackedB packed = pack_b(b, gemm_transposes_b(mode), round_bf16);
-  gemm_packed(gemm_transposes_a(mode), alpha, a, packed, beta, c, round_bf16,
+  gemm_packed(gemm_transposes_a(mode), alpha, a, packed, c, round_bf16,
               budget);
 }
 

@@ -25,6 +25,11 @@
 // the floating-point grouping differs from the reference kernel: results
 // match within accumulation-order tolerance, not bitwise.
 //
+// A one-row fp32 NN product (a decode step's FC and LM-head GEMMs) skips
+// both packs: it streams B rows straight into the tier's row kernel, whose
+// per-element arithmetic is the micro-kernel's, so the result is bitwise the
+// packed path's.
+//
 // The op(B) pack is a transient of the call: nothing outlives gemm_tiled(),
 // so the packed-panel footprint is one op(B) plus the per-lane A blocks.
 
@@ -45,7 +50,8 @@ inline constexpr std::size_t kBlockM = 96;   // multiple of kTileMR
 inline constexpr std::size_t kBlockK = 256;
 
 /// C = alpha * op(A) x op(B) + beta * C on the tiled kernel; op(B) is
-/// packed (and, with round_bf16, rounded) once per call.
+/// packed (and, with round_bf16, rounded) once per call. An fp32 NN product
+/// with one row of A reads B in place instead, bitwise the same row.
 void gemm_tiled(GemmMode mode, float alpha, const Matrix& a, const Matrix& b,
                 float beta, Matrix& c, bool round_bf16);
 

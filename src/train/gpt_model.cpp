@@ -37,13 +37,18 @@ Matrix tiled_product(GemmMode mode, float alpha, const Matrix& a,
   return c;
 }
 
-/// One head's causal softmax probabilities, softmax(mask(scale * Q K^T)).
-/// The full square is computed and the future half overwritten, so the
-/// masked probabilities are exact zeros.
-Matrix causal_attention_probs(const Matrix& q, const Matrix& k, float scale) {
+/// One head's causal softmax probabilities, softmax(mask(scale * Q K^T)),
+/// for query rows at positions [offset, offset + q.rows()) over keys
+/// [0, k.rows()): query i sees keys j <= offset + i. The whole rectangle is
+/// computed and the future part overwritten, so the masked probabilities
+/// are exact zeros — and a row's visible ones do not depend on how many
+/// masked keys follow them.
+Matrix causal_attention_probs(const Matrix& q, const Matrix& k, float scale,
+                              std::size_t offset) {
   Matrix scores = tiled_product(GemmMode::kNT, scale, q, k);
   for (std::size_t i = 0; i < scores.rows(); ++i) {
-    std::fill(scores.row(i) + i + 1, scores.row(i) + scores.cols(), kNegInf);
+    std::fill(scores.row(i) + offset + i + 1, scores.row(i) + scores.cols(),
+              kNegInf);
   }
   return softmax_rows(scores);
 }
@@ -223,20 +228,20 @@ std::vector<GPTModel::ParamSpec> GPTModel::parameter_specs() const {
 }
 
 Matrix GPTModel::embed(const std::vector<TokenSeq>& sequences,
-                       std::size_t input_len) {
+                       std::size_t offset, std::size_t len) {
   const auto h = static_cast<std::size_t>(config_.hidden);
-  Matrix x(sequences.size() * input_len, h);
+  Matrix x(sequences.size() * len, h);
   for (std::size_t s = 0; s < sequences.size(); ++s) {
-    AXONN_CHECK_MSG(sequences[s].size() >= input_len,
+    AXONN_CHECK_MSG(sequences[s].size() >= offset + len,
                     "sequence shorter than requested input length");
-    AXONN_CHECK_MSG(input_len <= static_cast<std::size_t>(config_.max_seq),
+    AXONN_CHECK_MSG(offset + len <= static_cast<std::size_t>(config_.max_seq),
                     "sequence longer than max_seq");
-    for (std::size_t i = 0; i < input_len; ++i) {
-      const auto token = static_cast<std::size_t>(sequences[s][i]);
+    for (std::size_t i = 0; i < len; ++i) {
+      const auto token = static_cast<std::size_t>(sequences[s][offset + i]);
       AXONN_CHECK(token < tok_emb_.rows());
-      float* row = x.row(s * input_len + i);
+      float* row = x.row(s * len + i);
       const float* te = tok_emb_.row(token);
-      const float* pe = pos_emb_.row(i);
+      const float* pe = pos_emb_.row(offset + i);
       for (std::size_t c = 0; c < h; ++c) {
         row[c] = te[c] + pe[c];
       }
@@ -246,21 +251,37 @@ Matrix GPTModel::embed(const std::vector<TokenSeq>& sequences,
 }
 
 Matrix GPTModel::attention_forward(const Matrix& qkv_out, std::size_t batch,
-                                   std::size_t input_len) const {
+                                   std::size_t offset,
+                                   Matrix* kv_cache) const {
   obs::SpanGuard span(obs::kCatCompute, "attn_fwd");
   const auto h = static_cast<std::size_t>(config_.hidden);
   const auto dh = static_cast<std::size_t>(head_dim_);
   const auto heads = static_cast<std::size_t>(config_.heads);
   const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  Matrix concat(batch * input_len, h);
+  const std::size_t len = qkv_out.rows() / batch;
+  const std::size_t keys = offset + len;
+  // Where K and V live: this call's own [Q | K | V] rows, or the decode
+  // cache's [K | V] rows, which this call's rows extend.
+  const Matrix* kv = &qkv_out;
+  std::size_t k_col = h;
+  if (kv_cache != nullptr) {
+    for (std::size_t i = 0; i < len; ++i) {
+      std::copy(qkv_out.row(i) + h, qkv_out.row(i) + 3 * h,
+                kv_cache->row(offset + i));
+    }
+    kv = kv_cache;
+    k_col = 0;
+  }
+  Matrix concat(qkv_out.rows(), h);
   for (std::size_t s = 0; s < batch; ++s) {
-    const Range rows{s * input_len, (s + 1) * input_len};
+    const Range rows{s * len, (s + 1) * len};
+    const Range key_rows{s * keys, (s + 1) * keys};
     for (std::size_t head = 0; head < heads; ++head) {
       const Range q_cols{head * dh, (head + 1) * dh};
       const Matrix q = qkv_out.block(rows, q_cols);
-      const Matrix k = qkv_out.block(rows, shifted(q_cols, h));
-      const Matrix v = qkv_out.block(rows, shifted(q_cols, 2 * h));
-      const Matrix p = causal_attention_probs(q, k, inv_sqrt);
+      const Matrix k = kv->block(key_rows, shifted(q_cols, k_col));
+      const Matrix v = kv->block(key_rows, shifted(q_cols, k_col + h));
+      const Matrix p = causal_attention_probs(q, k, inv_sqrt, offset);
       concat.set_block(rows, q_cols, tiled_product(GemmMode::kNN, 1.0f, p, v));
     }
   }
@@ -287,7 +308,7 @@ Matrix GPTModel::attention_backward(const Matrix& qkv_out,
       const Matrix v = qkv_out.block(rows, v_cols);
       const Matrix d_ctx = d_concat.block(rows, q_cols);
       // The forward's exact call on the forward's inputs: bitwise its P.
-      const Matrix p = causal_attention_probs(q, k, inv_sqrt);
+      const Matrix p = causal_attention_probs(q, k, inv_sqrt, 0);
       // ctx = P V:  dP = dctx V^T,  dV = P^T dctx.
       d_qkv.set_block(rows, v_cols,
                       tiled_product(GemmMode::kTN, 1.0f, p, d_ctx));
@@ -305,13 +326,17 @@ Matrix GPTModel::attention_backward(const Matrix& qkv_out,
 }
 
 Matrix GPTModel::forward_blocks(Matrix x, std::size_t batch,
-                                std::size_t input_len,
-                                std::vector<BlockCache>* caches) {
+                                std::size_t offset,
+                                std::vector<BlockCache>* caches,
+                                std::vector<Matrix>* kv_cache) {
   if (caches) caches->assign(blocks_.size(), BlockCache());
-  if (config_.overlap_collectives) {
+  if (config_.overlap_collectives && kv_cache == nullptr) {
     // OAG (§V-D): enqueue every weight all-gather in topological order
     // before compute starts; the progress thread streams them while the
-    // compute below proceeds.
+    // compute below proceeds. Decoding gathers blocking instead, at the
+    // prefill's first use of each layer: it gathers once per call, and a
+    // prefetch's shard snapshot would stay resident beside the gathered
+    // weights for the whole call.
     for (Block& block : blocks_) {
       for (auto* fc : block.fcs()) fc->begin_weight_gather();
     }
@@ -325,8 +350,8 @@ Matrix GPTModel::forward_blocks(Matrix x, std::size_t batch,
     // what the layernorm, attention and GELU backward passes read.
     c.qkv_out = block.qkv->forward(layernorm(
         x, row_vector(block.ln1_gamma), row_vector(block.ln1_beta), c.ln1));
-    x.add_inplace(block.attn_out->forward(
-        attention_forward(c.qkv_out, batch, input_len)));
+    x.add_inplace(block.attn_out->forward(attention_forward(
+        c.qkv_out, batch, offset, kv_cache ? &(*kv_cache)[l] : nullptr)));
     c.mlp_pre_gelu = block.mlp_up->forward(layernorm(
         x, row_vector(block.ln2_gamma), row_vector(block.ln2_beta), c.ln2));
     x.add_inplace(block.mlp_down->forward(gelu(c.mlp_pre_gelu)));
@@ -341,11 +366,17 @@ Matrix GPTModel::forward_logits(const std::vector<TokenSeq>& sequences,
                                 Matrix* final_out) {
   AXONN_CHECK(!sequences.empty());
   // All forward-pass tensors are activations unless an inner scope (packed
-  // panels, comm staging) says otherwise. Covers generate/probe callers that
+  // panels, comm staging) says otherwise. Covers evaluate/probe callers that
   // bypass train_step.
   const mem::ArenaScope scope(mem::Tag::kActivations);
-  const Matrix x = forward_blocks(embed(sequences, input_len),
-                                  sequences.size(), input_len, caches);
+  const Matrix x = forward_blocks(embed(sequences, 0, input_len),
+                                  sequences.size(), 0, caches, nullptr);
+  return lm_head_forward(x, final_ln_cache, final_out);
+}
+
+Matrix GPTModel::lm_head_forward(const Matrix& x,
+                                 LayerNormCache* final_ln_cache,
+                                 Matrix* final_out) const {
   LayerNormCache scratch;
   LayerNormCache& flc = final_ln_cache ? *final_ln_cache : scratch;
   Matrix normed = layernorm(x, row_vector(final_gamma_),
@@ -356,6 +387,7 @@ Matrix GPTModel::forward_logits(const std::vector<TokenSeq>& sequences,
 
 Matrix GPTModel::lm_head_gemm(GemmMode mode, const Matrix& a,
                               const Matrix& b) const {
+  obs::SpanGuard span(obs::kCatCompute, "lm_head_gemm");
   return tiled_product(mode, 1.0f, a, b, config_.mixed_precision);
 }
 
@@ -481,16 +513,41 @@ Matrix GPTModel::logits(const TokenSeq& tokens) {
   return forward_logits({tokens}, tokens.size(), nullptr, nullptr, nullptr);
 }
 
-TokenSeq GPTModel::greedy_generate(const TokenSeq& prompt, int new_tokens) {
-  AXONN_CHECK(!prompt.empty());
+TokenSeq GPTModel::greedy_generate(const TokenSeq& prompt, int new_tokens,
+                                   Matrix* step_logits) {
+  AXONN_CHECK(!prompt.empty() && new_tokens >= 0);
+  const auto steps = static_cast<std::size_t>(new_tokens);
+  const auto max_seq = static_cast<std::size_t>(config_.max_seq);
+  // A step's token is fed back only by the next step, so the last position
+  // embedded is prompt.size() + steps - 2.
+  AXONN_CHECK_MSG(prompt.size() + steps <= max_seq + 1,
+                  "greedy generation would run past max_seq");
   invalidate_fc_caches();
+  const mem::ArenaScope scope(mem::Tag::kActivations);
+  const auto h = static_cast<std::size_t>(config_.hidden);
+  std::vector<Matrix> kv_cache;  // per block: [K | V] of positions so far
+  for (std::size_t l = 0; l < blocks_.size(); ++l) {
+    kv_cache.emplace_back(max_seq, 2 * h);
+  }
+  if (step_logits) {
+    *step_logits = Matrix(steps, static_cast<std::size_t>(config_.vocab));
+  }
   TokenSeq sequence = prompt;
-  for (int step = 0; step < new_tokens; ++step) {
-    AXONN_CHECK(sequence.size() <= static_cast<std::size_t>(config_.max_seq));
-    const Matrix logits = forward_logits({sequence}, sequence.size(),
-                                         nullptr, nullptr, nullptr);
-    sequence.push_back(static_cast<std::int32_t>(
-        argmax(logits.row(logits.rows() - 1), logits.cols())));
+  std::size_t cached = 0;  // positions whose K and V are in kv_cache
+  for (std::size_t step = 0; step < steps; ++step) {
+    // Step 0 runs the whole prompt; every later step only the newest token.
+    const std::size_t len = sequence.size() - cached;
+    const Matrix x = forward_blocks(embed({sequence}, cached, len), 1, cached,
+                                    nullptr, &kv_cache);
+    const Matrix logits =
+        lm_head_forward(x.block({len - 1, len}, {0, h}), nullptr, nullptr);
+    if (step_logits) {
+      std::copy(logits.row(0), logits.row(0) + logits.cols(),
+                step_logits->row(step));
+    }
+    cached = sequence.size();
+    sequence.push_back(
+        static_cast<std::int32_t>(argmax(logits.row(0), logits.cols())));
   }
   return sequence;
 }

@@ -104,8 +104,15 @@ class GPTModel {
   /// predicts token i + 1 from tokens[0..i].
   Matrix logits(const TokenSeq& tokens);
 
-  /// Greedy decoding: extends `prompt` by `new_tokens` tokens.
-  TokenSeq greedy_generate(const TokenSeq& prompt, int new_tokens);
+  /// Greedy decoding: extends `prompt` by `new_tokens` tokens. The prompt
+  /// runs once (prefill); each later step runs only its newest token against
+  /// a per-block K/V cache. Throws if the last fed token's position would
+  /// reach max_seq. If `step_logits` is non-null it receives the (new_tokens
+  /// x vocab) logits the decode computed: row s, which picked token
+  /// prompt.size() + s, is bitwise row prompt.size() - 1 + s of logits() on
+  /// the generated sequence.
+  TokenSeq greedy_generate(const TokenSeq& prompt, int new_tokens,
+                           Matrix* step_logits = nullptr);
 
   /// True iff greedily prompting with the first (doc size - probe) tokens
   /// reproduces the final `probe` tokens exactly — the §VIII-B metric.
@@ -148,21 +155,36 @@ class GPTModel {
     Matrix mlp_pre_gelu;
   };
 
-  Matrix embed(const std::vector<TokenSeq>& sequences, std::size_t input_len);
-  Matrix forward_blocks(Matrix x, std::size_t batch, std::size_t input_len,
-                        std::vector<BlockCache>* caches);
-  /// Causal multi-head attention over the packed [Q | K | V] columns of
-  /// `qkv_out`. Both directions run one set of gemm_tiled products per
-  /// (sequence, head); backward recomputes the softmax probabilities with
-  /// the forward's own call instead of caching them.
+  /// Token + position embeddings of positions [offset, offset + len) of
+  /// every sequence, (sequences.size() * len) x hidden.
+  Matrix embed(const std::vector<TokenSeq>& sequences, std::size_t offset,
+               std::size_t len);
+  /// The transformer blocks over `batch` sequences of x.rows() / batch rows
+  /// each, at positions [offset, ...). Training and teacher forcing pass
+  /// offset 0 and no kv_cache; decoding passes one cache per block.
+  Matrix forward_blocks(Matrix x, std::size_t batch, std::size_t offset,
+                        std::vector<BlockCache>* caches,
+                        std::vector<Matrix>* kv_cache);
+  /// Causal multi-head attention for the query rows of the packed
+  /// [Q | K | V] columns of `qkv_out`, at positions [offset, offset + len)
+  /// of each sequence, over keys [0, offset + len). Without a kv_cache the
+  /// keys are the call's own rows (offset 0); with one (batch 1) the call's
+  /// K | V columns are first stored at its rows [offset, offset + len), and
+  /// the keys are read back from it. Both directions run one set of
+  /// gemm_tiled products per (sequence, head); backward recomputes the
+  /// softmax probabilities with the forward's own call instead of caching
+  /// them.
   Matrix attention_forward(const Matrix& qkv_out, std::size_t batch,
-                           std::size_t input_len) const;
+                           std::size_t offset, Matrix* kv_cache) const;
   Matrix attention_backward(const Matrix& qkv_out, const Matrix& d_concat,
                             std::size_t batch, std::size_t input_len) const;
   Matrix forward_logits(const std::vector<TokenSeq>& sequences,
                         std::size_t input_len,
                         std::vector<BlockCache>* caches,
                         LayerNormCache* final_ln_cache, Matrix* final_out);
+  /// Final layernorm, then the LM head, over the rows of `x`.
+  Matrix lm_head_forward(const Matrix& x, LayerNormCache* final_ln_cache,
+                         Matrix* final_out) const;
   /// One LM-head product on the tiled kernel. Like the FC sublayers, all
   /// three (forward NN, backward NT and TN) round their operands through
   /// bf16 under mixed_precision.

@@ -40,6 +40,13 @@ struct GridCase {
   bool transposed;
 };
 
+// Names each case by its fields (e.g. "gx2_gy2_gz2_transposed"), so test
+// names are stable instead of a dump of the struct's bytes and padding.
+void PrintTo(const GridCase& c, std::ostream* os) {
+  *os << "gx" << c.gx << "_gy" << c.gy << "_gz" << c.gz
+      << (c.transposed ? "_transposed" : "");
+}
+
 class FCEquivalence : public ::testing::TestWithParam<GridCase> {};
 
 TEST_P(FCEquivalence, ForwardAndBackwardMatchSerial) {

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -131,6 +132,43 @@ TEST(GemmIsaTest, EveryCompiledTierMatchesPortableWithinTolerance) {
     Matrix c(97, 75);
     gemm_tiled(GemmMode::kNN, 1.0f, a, b, 0.0f, c, false);
     EXPECT_LE(Matrix::max_abs_diff(c_oracle, c), 1e-4f) << to_string(tier);
+  }
+  reset_gemm_isa();
+}
+
+TEST(GemmIsaTest, OneRowPathIsBitwiseARowOfThePackedProduct) {
+  // m == 1 NN fp32 products read B in place through the tier's row kernel;
+  // each row of a 7-row (packed) product must come out bitwise the same.
+  // k spans one and two kBlockK slabs; n is not a multiple of kTileNR and
+  // covers the kernels' wide blocks and their partial tails.
+  std::uint64_t seed = 31;
+  for (GemmIsa tier : {GemmIsa::kPortable, GemmIsa::kAvx2, GemmIsa::kAvx512}) {
+    if (static_cast<int>(tier) > static_cast<int>(detected_gemm_isa())) {
+      continue;
+    }
+    force_gemm_isa(tier);
+    for (std::size_t k : {std::size_t{40}, kBlockK + 44}) {
+      for (std::size_t n : {std::size_t{7}, std::size_t{157}, std::size_t{300}}) {
+        Rng rng(seed++);
+        const Matrix a = Matrix::randn(7, k, rng);
+        const Matrix b = Matrix::randn(k, n, rng);
+        const Matrix c0 = Matrix::randn(7, n, rng);
+        for (const float beta : {0.0f, 1.5f}) {
+          Matrix packed = c0;
+          gemm_tiled(GemmMode::kNN, 0.75f, a, b, beta, packed, false);
+          for (std::size_t r = 0; r < 7; ++r) {
+            const Range row{r, r + 1};
+            Matrix one = c0.block(row, Range{0, n});
+            gemm_tiled(GemmMode::kNN, 0.75f, a.block(row, Range{0, k}), b,
+                       beta, one, false);
+            EXPECT_EQ(std::memcmp(one.data(), packed.row(r), n * sizeof(float)),
+                      0)
+                << to_string(tier) << " k=" << k << " n=" << n
+                << " beta=" << beta << " row=" << r;
+          }
+        }
+      }
+    }
   }
   reset_gemm_isa();
 }

@@ -285,6 +285,20 @@ TEST(GPTModelTest, GreedyGenerationDeterministic) {
   });
 }
 
+TEST(GPTModelTest, GreedyGenerationPastMaxSeqThrows) {
+  // max_seq 24: from a 20-token prompt, 5 new tokens embed positions up to
+  // 23; a 6th would need position 24, and nothing may run before the throw.
+  comm::run_ranks(1, [](comm::Communicator& world) {
+    core::Grid4D grid(world, sim::GridShape{1, 1, 1, 1});
+    GPTModel model(grid, tiny_config());
+    const TokenSeq prompt = tiny_batch(1, 20, 12).front();
+    EXPECT_EQ(model.greedy_generate(prompt, 5).size(), 25u);
+    EXPECT_THROW(model.greedy_generate(prompt, 6), Error);
+    EXPECT_THROW(model.greedy_generate(tiny_batch(1, 25, 13).front(), 1),
+                 Error);
+  });
+}
+
 TEST(GPTModelTest, ExactMatchAgreesWithGreedyGeneration) {
   // The teacher-forced shortcut must decide exactly the same event as
   // actually generating the probe region greedily.
