@@ -6,8 +6,7 @@
 // reduce-scatter, broadcast, barrier) over four families of process groups
 // (X/Y/Z tensor-parallel and data-parallel). This interface is the seam
 // between the 4D algorithm and the transport: the in-process ThreadComm
-// executes real ring algorithms between thread ranks; SelfComm handles the
-// degenerate size-1 groups that appear whenever a grid dimension is 1.
+// executes real ring algorithms between thread ranks, size-1 groups included.
 //
 // Semantics follow MPI: collectives must be called by every rank of the
 // communicator, in the same order. Nonblocking variants return a Request;

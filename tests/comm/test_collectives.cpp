@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "axonn/base/error.hpp"
@@ -171,6 +173,50 @@ TEST(ThreadCommTest, LargeBuffer) {
     comm.all_reduce(buf, ReduceOp::kSum);
     EXPECT_EQ(buf.front(), 2.0f);
     EXPECT_EQ(buf.back(), 2.0f);
+  });
+}
+
+// A grid dimension of extent 1 runs its group as an ordinary one-rank
+// ThreadComm: every collective is an identity or a copy, sizes still checked.
+TEST(ThreadCommTest, OneRankCollectivesCopyAndValidate) {
+  run_ranks(1, [](Communicator& c) {
+    EXPECT_EQ(c.rank(), 0);
+    EXPECT_EQ(c.size(), 1);
+    const std::vector<float> in{1.0f, -2.0f, 3.0f};
+    const std::vector<std::size_t> n{3};
+    const ReduceOp sum = ReduceOp::kSum;
+    using Case =
+        std::pair<const char*, std::function<void(std::vector<float>&)>>;
+    const Case cases[] = {
+        {"all_reduce", [&](auto& o) { o = in; c.all_reduce(o, sum); }},
+        {"iall_reduce",
+         [&](auto& o) { o = in; c.iall_reduce(o, sum).wait(); }},
+        {"broadcast", [&](auto& o) { o = in; c.broadcast(o, 0); }},
+        {"all_gather", [&](auto& o) { c.all_gather(in, o); }},
+        {"all_gatherv", [&](auto& o) { c.all_gatherv(in, o, n); }},
+        {"reduce_scatter", [&](auto& o) { c.reduce_scatter(in, o, sum); }},
+        {"reduce_scatterv", [&](auto& o) { c.reduce_scatterv(in, o, n, sum); }},
+    };
+    for (const auto& [name, op] : cases) {
+      std::vector<float> out(in.size());
+      op(out);
+      EXPECT_EQ(out, in) << name;
+    }
+    EXPECT_EQ(c.stats().all_reduce_calls, 2u);
+    EXPECT_EQ(c.stats().all_gather_calls, 2u);
+    EXPECT_EQ(c.stats().reduce_scatter_calls, 2u);
+    EXPECT_EQ(c.stats().broadcast_calls, 1u);
+    EXPECT_EQ(c.stats().wire_bytes_sent, 0u);
+    c.reset_stats();
+    EXPECT_EQ(c.stats().all_reduce_calls, 0u);
+
+    std::vector<float> one(1);
+    EXPECT_THROW(c.all_gather(in, one), Error);
+    EXPECT_THROW(c.all_gatherv(in, one, n), Error);
+    EXPECT_THROW(c.reduce_scatter(in, one, sum), Error);
+    EXPECT_THROW(c.reduce_scatterv(in, one, n, sum), Error);
+    EXPECT_EQ(c.split(-1, 0), nullptr);
+    EXPECT_EQ(c.split(5, 0)->size(), 1);
   });
 }
 

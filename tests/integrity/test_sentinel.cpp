@@ -15,6 +15,7 @@
 #include "axonn/comm/thread_comm.hpp"
 #include "axonn/core/grid4d.hpp"
 #include "axonn/train/resilient.hpp"
+#include "scratch_dir.hpp"
 
 namespace axonn::train {
 namespace {
@@ -233,13 +234,6 @@ TEST(SentinelTest, ReplayBudgetExhaustionEscalates) {
 // ---------------------------------------------------------------------------
 // End-to-end demonstrated heal (the PR's acceptance run, test-sized).
 // ---------------------------------------------------------------------------
-
-fs::path scratch_dir(const std::string& name) {
-  const fs::path dir = fs::path(testing::TempDir()) / ("axonn_sdc_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
 
 ResilientTrainConfig sentinel_config(const fs::path& checkpoint_dir) {
   ResilientTrainConfig config;

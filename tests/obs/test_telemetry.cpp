@@ -21,18 +21,12 @@
 #include "axonn/sim/iteration.hpp"
 #include "axonn/train/resilient.hpp"
 #include "axonn/train/telemetry.hpp"
+#include "scratch_dir.hpp"
 
 namespace axonn::obs {
 namespace {
 
 namespace fs = std::filesystem;
-
-fs::path scratch_dir(const std::string& name) {
-  const fs::path dir = fs::path(testing::TempDir()) / ("axonn_tele_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
 
 /// Builds a StepTelemetry whose per-rank self times are `self_s` (every other
 /// field zeroed) — enough for the monitor, which only reads kSelfS.

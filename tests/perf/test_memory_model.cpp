@@ -20,6 +20,7 @@
 #include "axonn/train/checkpoint.hpp"
 #include "axonn/train/gpt_model.hpp"
 #include "axonn/train/sentinel.hpp"
+#include "scratch_dir.hpp"
 
 namespace axonn::perf {
 namespace {
@@ -149,8 +150,7 @@ TEST(MemoryModelCheckerTest, JsonlAppendsTagsAndSummary) {
   checker.begin();
   const auto result = checker.finish(MemoryPrediction{});
   const std::string path =
-      testing::TempDir() + "/axonn_memcheck_test.jsonl";
-  std::remove(path.c_str());
+      (scratch_dir("memcheck") / "memcheck.jsonl").string();
   ASSERT_TRUE(append_memcheck_jsonl(path, result));
   std::ifstream in(path);
   std::string line;
@@ -162,7 +162,6 @@ TEST(MemoryModelCheckerTest, JsonlAppendsTagsAndSummary) {
   }
   EXPECT_EQ(lines, mem::kNumTags + 1);  // one per tag + summary
   EXPECT_NE(last.find("\"summary\":true"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

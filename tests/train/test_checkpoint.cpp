@@ -14,19 +14,12 @@
 #include "axonn/core/grid4d.hpp"
 #include "axonn/tensor/gemm_dispatch.hpp"
 #include "axonn/train/checkpoint.hpp"
+#include "scratch_dir.hpp"
 
 namespace axonn::train {
 namespace {
 
 namespace fs = std::filesystem;
-
-// Fresh per-test scratch directory under the gtest temp dir.
-fs::path scratch_dir(const std::string& name) {
-  const fs::path dir = fs::path(testing::TempDir()) / ("axonn_ckpt_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
 
 std::vector<std::byte> small_payload() {
   ByteWriter w;

@@ -19,18 +19,12 @@
 #include "axonn/train/checkpoint.hpp"
 #include "axonn/train/replica.hpp"
 #include "axonn/train/resilient.hpp"
+#include "scratch_dir.hpp"
 
 namespace axonn::train {
 namespace {
 
 namespace fs = std::filesystem;
-
-fs::path scratch_dir(const std::string& name) {
-  const fs::path dir = fs::path(testing::TempDir()) / ("axonn_elastic_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
 
 ResilientTrainConfig elastic_config(const fs::path& checkpoint_dir, int gz,
                                     int spares) {

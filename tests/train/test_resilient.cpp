@@ -12,18 +12,12 @@
 #include "axonn/comm/fault.hpp"
 #include "axonn/train/checkpoint.hpp"
 #include "axonn/train/resilient.hpp"
+#include "scratch_dir.hpp"
 
 namespace axonn::train {
 namespace {
 
 namespace fs = std::filesystem;
-
-fs::path scratch_dir(const std::string& name) {
-  const fs::path dir = fs::path(testing::TempDir()) / ("axonn_resil_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
 
 ResilientTrainConfig base_config(const fs::path& checkpoint_dir) {
   ResilientTrainConfig config;
