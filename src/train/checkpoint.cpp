@@ -188,22 +188,6 @@ std::span<const std::byte> CheckpointReader::section(
 
 namespace {
 
-std::vector<std::byte> pack_tensors(GPTModel& model,
-                                    void (*visit)(GPTModel&, ByteWriter&)) {
-  ByteWriter writer;
-  visit(model, writer);
-  return writer.take();
-}
-
-void put_all_params(GPTModel& model, ByteWriter& writer) {
-  model.for_each_parameter(
-      [&](Matrix& m) { writer.put_floats(m.storage()); });
-}
-
-}  // namespace
-
-namespace {
-
 CheckpointWriter build_train_snapshot(GPTModel& model, Adam& adam,
                                       const TrainCursor& cursor, int rank,
                                       int world_size) {
@@ -218,7 +202,12 @@ CheckpointWriter build_train_snapshot(GPTModel& model, Adam& adam,
     ckpt.add_section("meta", meta.take());
   }
 
-  ckpt.add_section("weights", pack_tensors(model, put_all_params));
+  {
+    ByteWriter weights;
+    model.for_each_parameter(
+        [&](Matrix& m) { weights.put_floats(m.storage()); });
+    ckpt.add_section("weights", weights.take());
+  }
 
   {
     ByteWriter m_writer, v_writer;
@@ -249,25 +238,19 @@ void restore_train_snapshot(const CheckpointReader& ckpt,
                             const std::string& origin, GPTModel& model,
                             Adam& adam, TrainCursor& cursor, int rank,
                             int world_size) {
-  {
-    ByteReader meta(ckpt.section("meta"));
-    const auto saved_rank = meta.get_u32();
-    const auto saved_world = meta.get_u32();
-    const auto saved_slots = meta.get_u64();
-    const auto saved_scalars = meta.get_u64();
-    if (saved_rank != static_cast<std::uint32_t>(rank) ||
-        saved_world != static_cast<std::uint32_t>(world_size)) {
-      throw CheckpointError(
-          "checkpoint " + origin + " was written by rank " +
-          std::to_string(saved_rank) + "/" + std::to_string(saved_world) +
-          " but is being restored on rank " + std::to_string(rank) + "/" +
-          std::to_string(world_size));
-    }
-    if (saved_slots != adam.num_params() ||
-        saved_scalars != adam.total_parameter_count()) {
-      throw CheckpointError("checkpoint " + origin +
-                            " parameter layout does not match the live model");
-    }
+  const SnapshotMeta meta = read_snapshot_meta(ckpt);
+  if (meta.rank != static_cast<std::uint32_t>(rank) ||
+      meta.world_size != static_cast<std::uint32_t>(world_size)) {
+    throw CheckpointError(
+        "checkpoint " + origin + " was written by rank " +
+        std::to_string(meta.rank) + "/" + std::to_string(meta.world_size) +
+        " but is being restored on rank " + std::to_string(rank) + "/" +
+        std::to_string(world_size));
+  }
+  if (meta.param_slots != adam.num_params() ||
+      meta.param_scalars != adam.total_parameter_count()) {
+    throw CheckpointError("checkpoint " + origin +
+                          " parameter layout does not match the live model");
   }
 
   {
@@ -292,21 +275,35 @@ void restore_train_snapshot(const CheckpointReader& ckpt,
       throw CheckpointError("checkpoint optimizer sections do not match the "
                             "live optimizer layout");
     }
-    ByteReader t_reader(ckpt.section("adam.t"));
-    adam.set_step_count(t_reader.get_i64());
   }
 
-  {
-    ByteReader cur(ckpt.section("cursor"));
-    cursor.step = cur.get_u64();
-    cursor.next_doc = cur.get_u64();
-    std::array<std::uint64_t, 4> state;
-    for (auto& word : state) word = cur.get_u64();
-    cursor.rng.set_state(state);
-  }
+  read_step_state(ckpt, adam, cursor);
 }
 
 }  // namespace
+
+SnapshotMeta read_snapshot_meta(const CheckpointReader& ckpt) {
+  ByteReader in(ckpt.section("meta"));
+  SnapshotMeta meta;
+  meta.rank = in.get_u32();
+  meta.world_size = in.get_u32();
+  meta.param_slots = in.get_u64();
+  meta.param_scalars = in.get_u64();
+  return meta;
+}
+
+void read_step_state(const CheckpointReader& ckpt, Adam& adam,
+                     TrainCursor& cursor) {
+  ByteReader t_reader(ckpt.section("adam.t"));
+  adam.set_step_count(t_reader.get_i64());
+
+  ByteReader cur(ckpt.section("cursor"));
+  cursor.step = cur.get_u64();
+  cursor.next_doc = cur.get_u64();
+  std::array<std::uint64_t, 4> state;
+  for (auto& word : state) word = cur.get_u64();
+  cursor.rng.set_state(state);
+}
 
 void save_checkpoint(const std::string& path, GPTModel& model, Adam& adam,
                      const TrainCursor& cursor, int rank, int world_size) {

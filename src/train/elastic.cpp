@@ -1,11 +1,9 @@
 #include "axonn/train/elastic.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <exception>
-#include <filesystem>
 #include <memory>
 #include <optional>
 #include <string>
@@ -16,19 +14,22 @@
 #include "axonn/base/metrics.hpp"
 #include "axonn/comm/fault.hpp"
 #include "axonn/comm/thread_comm.hpp"
-#include "axonn/core/grid4d.hpp"
 #include "axonn/train/checkpoint.hpp"
 #include "axonn/train/replica.hpp"
-#include "axonn/train/telemetry.hpp"
 
 namespace axonn::train {
 
 namespace {
 
-std::int64_t steady_now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
+/// The exception's what(), for the abort reason.
+std::string describe(const std::exception_ptr& e) {
+  try {
+    std::rethrow_exception(e);
+  } catch (const std::exception& ex) {
+    return ex.what();
+  } catch (...) {
+    return "a non-std exception";
+  }
 }
 
 /// State shared by every rank thread of one elastic attempt. The replica
@@ -39,7 +40,6 @@ struct ElasticShared {
   explicit ElasticShared(int slots) : replicas(slots) {}
 
   ReplicaStore replicas;
-  std::atomic<int> final_world{0};
 
   std::mutex fatal_mutex;
   std::exception_ptr fatal;
@@ -59,15 +59,28 @@ enum class Segment {
 
 using Plan = comm::ThreadWorld::ReconfigurePlan;
 
+/// Pushes this rank's current snapshot to its replica slot.
+void push_replica(ElasticShared& shared, RankTrainer& trainer,
+                  ResilientTrainResult& result, std::mutex& result_mutex) {
+  shared.replicas.push(
+      trainer.rank, trainer.cursor.step,
+      encode_train_snapshot(trainer.model, trainer.adam, trainer.cursor,
+                            trainer.rank, trainer.world_size));
+  std::lock_guard<std::mutex> lock(result_mutex);
+  ++result.replica_pushes;
+}
+
 /// Restores this rank's state at the start of a post-failure epoch from the
-/// in-memory replicas: survivors and swapped-in spares decode their own
-/// slot's blob (a swap keeps the world size, so blobs fit verbatim); a
-/// shrunk world re-shards every old slot's blob onto the survivor grid.
-/// Throws CheckpointError when the replica tier cannot serve the recovery —
-/// the caller escalates to the supervisor's disk restart.
+/// in-memory replicas, and counts the recovery: survivors and swapped-in
+/// spares decode their own slot's blob (a swap keeps the world size, so
+/// blobs fit verbatim); a shrunk world re-shards every old slot's blob onto
+/// the survivor grid. Throws CheckpointError when the replica tier cannot
+/// serve the recovery — the caller escalates to the supervisor's disk
+/// restart.
 void restore_from_replicas(const Plan& plan, ElasticShared& shared,
-                           comm::ThreadComm& active, GPTModel& model,
-                           Adam& adam, TrainCursor& cursor) {
+                           comm::ThreadComm& active, RankTrainer& trainer,
+                           ResilientTrainResult& result,
+                           std::mutex& result_mutex) {
   const int slot = active.rank();
   const int nslots = active.size();
   const int old_n = static_cast<int>(plan.old_active.size());
@@ -101,7 +114,8 @@ void restore_from_replicas(const Plan& plan, ElasticShared& shared,
     for (int s = 0; s < old_n; ++s) {
       blobs.push_back(shared.replicas.blob(s, *step));
     }
-    reshard_restore(blobs, model, adam, cursor, slot, nslots);
+    reshard_restore(blobs, trainer.model, trainer.adam, trainer.cursor, slot,
+                    nslots);
     // The old-gz blobs cannot seed the new-gz buddy scheme: barrier until
     // every survivor has read its inputs, reset the store to the new slot
     // count, then re-seed it with fresh snapshots so a second failure can
@@ -109,37 +123,66 @@ void restore_from_replicas(const Plan& plan, ElasticShared& shared,
     active.barrier();
     if (slot == 0) shared.replicas.reset(nslots);
     active.barrier();
-    shared.replicas.push(slot, cursor.step,
-                         encode_train_snapshot(model, adam, cursor, slot,
-                                               nslots));
+    push_replica(shared, trainer, result, result_mutex);
   } else {
-    decode_train_snapshot(shared.replicas.blob(slot, *step), model, adam,
-                          cursor, slot, nslots);
+    decode_train_snapshot(shared.replicas.blob(slot, *step), trainer.model,
+                          trainer.adam, trainer.cursor, slot, nslots);
   }
+
+  std::lock_guard<std::mutex> lock(result_mutex);
+  ++result.replica_restores;
+  if (slot != 0) return;
+  ++result.epoch_bumps;
+  if (plan.shrunk) {
+    ++result.shrinks;
+  } else {
+    result.spare_swaps += static_cast<std::uint64_t>(plan.swapped_in.size());
+  }
+  AXONN_LOG_INFO << "elastic: epoch " << plan.epoch
+                 << " resumed from in-memory replicas at step "
+                 << trainer.cursor.step
+                 << (plan.shrunk ? " (shrunk to " : " (world ") << nslots
+                 << " ranks)";
 }
 
-/// One epoch of one rank's life: build the active communicator and the full
-/// training stack on it, restore (disk at epoch 0, replicas afterwards),
-/// train until completion or failure. The progress stream is drained while
-/// the comm/grid/model objects are still alive — queued collective tasks
-/// reference them, so they must run down before the destructors.
+/// Closes the failure→recovery window at the first completed post-recovery
+/// step, when the world is productive again (the elastic MTTR bench_recovery
+/// compares against a full restart).
+void record_mttr(const comm::ThreadWorld& world, ResilientTrainResult& result,
+                 std::mutex& result_mutex) {
+  if (world.last_failure_ns() <= 0) return;
+  const std::int64_t now_ns =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count();
+  const double mttr_ms =
+      static_cast<double>(now_ns - world.last_failure_ns()) / 1e6;
+  if (obs::metrics::enabled()) {
+    static obs::metrics::Gauge mttr("elastic.recovery_ms");
+    mttr.set(mttr_ms);
+  }
+  AXONN_LOG_INFO << "elastic: first post-recovery step done, " << mttr_ms
+                 << " ms after the failure";
+  std::lock_guard<std::mutex> lock(result_mutex);
+  if (result.recovery_ms < 0) result.recovery_ms = mttr_ms;
+}
+
+/// One epoch of one rank's life: build the training stack on the active
+/// communicator, restore (disk at epoch 0, replicas afterwards), and run the
+/// shared loop with the replica tier and the MTTR clock hooked in. The
+/// progress stream is drained while the stack is still alive — queued
+/// collective tasks reference it, so they must run down before the
+/// destructors.
 Segment run_epoch_segment(const ResilientTrainConfig& config,
-                          const comm::ChaosConfig& chaos_template,
-                          comm::ThreadWorld& world, int my,
+                          bool first_attempt, comm::ThreadWorld& world, int my,
                           const std::optional<Plan>& plan,
                           ElasticShared& shared, ResilientTrainResult& result,
                           std::mutex& result_mutex) {
-  namespace fs = std::filesystem;
   Segment outcome = Segment::kReconfigure;
   std::exception_ptr fatal;
   {
     std::unique_ptr<comm::ThreadComm> active = world.active_comm(my);
-    std::unique_ptr<comm::ChaosComm> chaos_comm;
-    std::unique_ptr<core::Grid4D> grid;
-    std::unique_ptr<GPTModel> model;
-    std::unique_ptr<Adam> adam;
-    std::unique_ptr<TrainingSentinel> sentinel;
-    std::unique_ptr<StepTelemetryCollector> telemetry;
+    std::optional<RankTrainer> trainer;
     try {
       const std::uint64_t epoch = active->epoch();
       const int slot = active->rank();
@@ -148,194 +191,36 @@ Segment run_epoch_segment(const ResilientTrainConfig& config,
       // Chaos wraps the *active* communicator, so the crash/hang/slow rank
       // of the schedule is a grid slot (stable across spare swaps), and the
       // counters restart with each epoch like a fresh-booted replacement.
-      comm::Communicator* comm = active.get();
-      if (config.enable_chaos) {
-        comm::ChaosConfig chaos = chaos_template;
-        if (epoch > 0) {
-          // Post-recovery epochs model the failed hardware as gone: the
-          // crash, the hang and the one-shot memory corruption (all tied to
-          // the dead node) do not re-fire; latency/probabilistic chaos and
-          // the watchdog stay armed.
-          chaos.crash_rank = -1;
-          chaos.hang_rank = -1;
-          chaos.corrupt_once_rank = -1;
-        }
-        chaos_comm = std::make_unique<comm::ChaosComm>(*active, chaos);
-        comm = chaos_comm.get();
-      }
-
       sim::GridShape shape = config.grid;
       shape.gz = nslots;  // a shrunk epoch keeps pure Z-sharding
-      grid = std::make_unique<core::Grid4D>(*comm, shape);
-      model = std::make_unique<GPTModel>(*grid, config.model);
-      adam = std::make_unique<Adam>(config.adam);
-      model->register_params(*adam);
-      const BucketCorpus corpus(config.corpus);
-
-      TrainCursor cursor;
-      cursor.rng = Rng(config.data_seed);
+      trainer.emplace(config, first_attempt && epoch == 0, *active, shape);
 
       bool just_recovered = false;
       if (epoch == 0) {
-        const std::int64_t restored =
-            find_latest_valid_step(config.checkpoint_dir, nslots);
-        if (restored >= 0) {
-          const std::string path =
-              (fs::path(config.checkpoint_dir) /
-               checkpoint_filename(static_cast<std::uint64_t>(restored),
-                                   slot))
-                  .string();
-          load_checkpoint(path, *model, *adam, cursor, slot, nslots);
-          if (slot == 0) {
-            AXONN_LOG_INFO << "elastic: restored step " << restored
-                           << " from " << config.checkpoint_dir;
-          }
-        }
+        trainer->restore_from_disk();
         // Baseline replica push: from the very first step every slot's
         // snapshot lives in a buddy's RAM, so the first failure can already
         // recover without touching disk.
-        shared.replicas.push(slot, cursor.step,
-                             encode_train_snapshot(*model, *adam, cursor,
-                                                   slot, nslots));
-        {
-          std::lock_guard<std::mutex> lock(result_mutex);
-          ++result.replica_pushes;
-        }
+        push_replica(shared, *trainer, result, result_mutex);
       } else {
         AXONN_CHECK(plan && plan->epoch == epoch);
-        restore_from_replicas(*plan, shared, *active, *model, *adam, cursor);
+        restore_from_replicas(*plan, shared, *active, *trainer, result,
+                              result_mutex);
         just_recovered = true;
-        {
-          std::lock_guard<std::mutex> lock(result_mutex);
-          ++result.replica_restores;
-          if (plan->shrunk) ++result.replica_pushes;  // the re-seed push
-          if (slot == 0) {
-            ++result.epoch_bumps;
-            if (plan->shrunk) {
-              ++result.shrinks;
-            } else {
-              result.spare_swaps +=
-                  static_cast<std::uint64_t>(plan->swapped_in.size());
-            }
-          }
-        }
-        if (slot == 0) {
-          AXONN_LOG_INFO << "elastic: epoch " << epoch
-                         << " resumed from in-memory replicas at step "
-                         << cursor.step
-                         << (plan->shrunk ? " (shrunk to " : " (world ")
-                         << nslots << " ranks)";
-        }
       }
 
-      sentinel = std::make_unique<TrainingSentinel>(config.sentinel, *comm,
-                                                    *model, *adam);
-      // Telemetry folds over the raw active communicator (fault injection
-      // must not corrupt the instrument reporting on it).
-      telemetry = std::make_unique<StepTelemetryCollector>(*active,
-                                                           grid.get());
-      obs::StragglerMonitor stragglers(config.straggler);
-
-      const auto batch = static_cast<std::uint64_t>(config.batch_per_rank);
-      while (cursor.step < static_cast<std::uint64_t>(config.total_steps)) {
-        sentinel->journal(cursor);
-        telemetry->begin_step();
-
-        const std::uint64_t jitter = cursor.rng.uniform_int(1u << 16);
-        std::vector<TokenSeq> sequences;
-        sequences.reserve(batch);
-        for (std::uint64_t b = 0; b < batch; ++b) {
-          sequences.push_back(corpus.background_doc(
-              cursor.next_doc + jitter +
-              static_cast<std::uint64_t>(slot) * batch + b));
-        }
-
-        model->zero_grad();
-        const float loss = model->train_step(sequences);
-        if (!sentinel->check_step(loss, cursor)) {
-          if (slot == 0) {
-            std::lock_guard<std::mutex> lock(result_mutex);
-            ++result.step_replays;
-          }
-          continue;
-        }
-        adam->step();
-
-        cursor.step += 1;
-        cursor.next_doc += static_cast<std::uint64_t>(nslots) * batch;
-        if (slot == 0) {
-          std::lock_guard<std::mutex> lock(result_mutex);
-          ++result.steps_executed;
-          AXONN_LOG_DEBUG << "elastic: step " << cursor.step << " loss "
-                          << loss;
-        }
-
-        if (just_recovered) {
-          // First completed post-recovery step: the world is productive
-          // again, so the failure→recovery window closes here (the elastic
-          // MTTR bench_recovery compares against a full restart).
-          just_recovered = false;
-          if (slot == 0 && world.last_failure_ns() > 0) {
-            const double mttr_ms =
-                static_cast<double>(steady_now_ns() -
-                                    world.last_failure_ns()) /
-                1e6;
-            if (obs::metrics::enabled()) {
-              static obs::metrics::Gauge mttr("elastic.recovery_ms");
-              mttr.set(mttr_ms);
-            }
-            AXONN_LOG_INFO << "elastic: first post-recovery step done, "
-                           << mttr_ms << " ms after the failure";
-            std::lock_guard<std::mutex> lock(result_mutex);
-            if (result.recovery_ms < 0) result.recovery_ms = mttr_ms;
-          }
-        }
-
-        if (telemetry->active()) {
-          const obs::StepTelemetry t =
-              telemetry->end_step(cursor.step, loss);
-          if (slot == 0) {
-            obs::emit_step(t);
-            const std::vector<int> newly = stragglers.observe(t);
-            std::lock_guard<std::mutex> lock(result_mutex);
-            ++result.telemetry_steps;
-            result.straggler_ranks.insert(result.straggler_ranks.end(),
-                                          newly.begin(), newly.end());
-          }
-        }
-
-        if (config.checkpoint_every > 0 &&
-            cursor.step %
-                    static_cast<std::uint64_t>(config.checkpoint_every) ==
-                0) {
-          // RAM tier first (the recovery path), then the disk tier (the
-          // full-restart fallback).
-          shared.replicas.push(slot, cursor.step,
-                               encode_train_snapshot(*model, *adam, cursor,
-                                                     slot, nslots));
-          const std::string path = (fs::path(config.checkpoint_dir) /
-                                    checkpoint_filename(cursor.step, slot))
-                                       .string();
-          save_checkpoint(path, *model, *adam, cursor, slot, nslots);
-          std::lock_guard<std::mutex> lock(result_mutex);
-          ++result.replica_pushes;
-          ++result.checkpoints_written;
-        }
-      }
-
-      // Fixed eval batch (independent of the cursor) so the final loss is
-      // comparable across faulted, recovered and fault-free runs.
-      std::vector<TokenSeq> eval_batch;
-      for (std::uint64_t b = 0; b < batch; ++b) {
-        eval_batch.push_back(corpus.background_doc(
-            1'000'000 + static_cast<std::uint64_t>(slot) * batch + b));
-      }
-      const float eval_loss = model->evaluate_loss(eval_batch);
-      if (slot == 0) {
-        std::lock_guard<std::mutex> lock(result_mutex);
-        result.final_loss = eval_loss;
-      }
-      shared.final_world.store(nslots, std::memory_order_relaxed);
+      RankTrainer::Hooks hooks;
+      hooks.after_step = [&] {
+        if (!just_recovered) return;
+        just_recovered = false;
+        if (slot == 0) record_mttr(world, result, result_mutex);
+      };
+      // RAM tier first (the recovery path); the loop then writes the disk
+      // tier (the full-restart fallback).
+      hooks.at_checkpoint = [&] {
+        push_replica(shared, *trainer, result, result_mutex);
+      };
+      trainer->run(hooks, result, result_mutex);
       outcome = Segment::kDone;
     } catch (const comm::RankFailure& e) {
       // This rank is the casualty (injected crash, or a hang whose peers
@@ -356,15 +241,8 @@ Segment run_epoch_segment(const ResilientTrainConfig& config,
       // abort the world *before* draining so every rank's pending work
       // fails fast, then hand the exception to the supervisor.
       fatal = std::current_exception();
-      try {
-        std::rethrow_exception(fatal);
-      } catch (const std::exception& e) {
-        world.abort("elastic: rank " + std::to_string(my) +
-                    " failed unrecoverably: " + e.what());
-      } catch (...) {
-        world.abort("elastic: rank " + std::to_string(my) +
-                    " failed unrecoverably");
-      }
+      world.abort("elastic: rank " + std::to_string(my) +
+                  " failed unrecoverably: " + describe(fatal));
     }
     world.drain_progress(my);
   }
@@ -374,8 +252,7 @@ Segment run_epoch_segment(const ResilientTrainConfig& config,
 
 /// A rank's whole life across epochs: spares park until assigned, actives
 /// run epoch segments and rendezvous in reconfigure() after each failure.
-void elastic_rank_main(const ResilientTrainConfig& config,
-                       const comm::ChaosConfig& chaos,
+void elastic_rank_main(const ResilientTrainConfig& config, bool first_attempt,
                        comm::ThreadWorld& world, int my,
                        ElasticShared& shared, ResilientTrainResult& result,
                        std::mutex& result_mutex) {
@@ -386,8 +263,9 @@ void elastic_rank_main(const ResilientTrainConfig& config,
       if (!plan) return;  // run finished before this spare was needed
     }
     for (;;) {
-      const Segment outcome = run_epoch_segment(
-          config, chaos, world, my, plan, shared, result, result_mutex);
+      const Segment outcome =
+          run_epoch_segment(config, first_attempt, world, my, plan, shared,
+                            result, result_mutex);
       if (outcome == Segment::kDone) {
         world.finish();  // wake unneeded spares so they unwind
         return;
@@ -395,18 +273,12 @@ void elastic_rank_main(const ResilientTrainConfig& config,
       if (outcome == Segment::kDead) return;
       plan = world.reconfigure(my);
     }
-  } catch (const std::exception& e) {
+  } catch (...) {
     if (world.is_dead(my)) return;  // fenced off while recovering: exit quietly
     shared.store_fatal(std::current_exception());
     if (!world.aborted()) {
-      world.abort("elastic: rank " + std::to_string(my) + ": " + e.what());
-    }
-  } catch (...) {
-    if (world.is_dead(my)) return;
-    shared.store_fatal(std::current_exception());
-    if (!world.aborted()) {
-      world.abort("elastic: rank " + std::to_string(my) +
-                  " threw a non-std exception");
+      world.abort("elastic: rank " + std::to_string(my) + ": " +
+                  describe(std::current_exception()));
     }
   }
 }
@@ -414,16 +286,12 @@ void elastic_rank_main(const ResilientTrainConfig& config,
 }  // namespace
 
 void run_elastic_attempt(const ResilientTrainConfig& config,
-                         const comm::ChaosConfig& chaos,
-                         ResilientTrainResult& result,
+                         bool first_attempt, ResilientTrainResult& result,
                          std::mutex& result_mutex) {
   const int active0 = static_cast<int>(config.grid.total());
   const int total = active0 + config.elastic.spares;
 
-  comm::WorldOptions options;
-  options.collective_timeout = config.collective_timeout;
-  options.ring_crc = config.ring_crc;
-  options.crc_max_retries = config.crc_max_retries;
+  comm::WorldOptions options = world_options(config);
   options.elastic = true;
   options.spare_ranks = config.elastic.spares;
   options.heartbeat_timeout = config.elastic.heartbeat_timeout;
@@ -437,7 +305,7 @@ void run_elastic_attempt(const ResilientTrainConfig& config,
   threads.reserve(static_cast<std::size_t>(total));
   for (int r = 0; r < total; ++r) {
     threads.emplace_back([&, r] {
-      elastic_rank_main(config, chaos, world, r, shared, result,
+      elastic_rank_main(config, first_attempt, world, r, shared, result,
                         result_mutex);
     });
   }
@@ -452,7 +320,6 @@ void run_elastic_attempt(const ResilientTrainConfig& config,
 
   std::lock_guard<std::mutex> lock(result_mutex);
   result.fenced_messages += world.fenced_messages();
-  result.final_world_size = shared.final_world.load(std::memory_order_relaxed);
 }
 
 }  // namespace axonn::train

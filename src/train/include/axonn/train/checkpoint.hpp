@@ -156,6 +156,21 @@ void decode_train_snapshot(std::span<const std::byte> bytes, GPTModel& model,
                            Adam& adam, TrainCursor& cursor, int rank,
                            int world_size);
 
+/// A training snapshot's "meta" section: the writer's rank and world size
+/// and the optimizer layout it saved.
+struct SnapshotMeta {
+  std::uint32_t rank = 0;
+  std::uint32_t world_size = 0;
+  std::uint64_t param_slots = 0;    ///< Adam::num_params()
+  std::uint64_t param_scalars = 0;  ///< Adam::total_parameter_count()
+};
+SnapshotMeta read_snapshot_meta(const CheckpointReader& ckpt);
+
+/// Restores the Adam step count ("adam.t") and the cursor ("cursor": step,
+/// next_doc, the four RNG words) from a training snapshot.
+void read_step_state(const CheckpointReader& ckpt, Adam& adam,
+                     TrainCursor& cursor);
+
 /// "ckpt-<step padded to 8>.r<rank>.axck".
 std::string checkpoint_filename(std::uint64_t step, int rank);
 

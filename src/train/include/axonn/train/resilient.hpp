@@ -48,12 +48,12 @@ struct ResilientTrainConfig {
   /// Supervisor restart backoff (full restarts only — in-job elastic
   /// recovery never waits). Attempt k sleeps
   ///   min(cap, base << k) * jitter,   jitter in [0.5, 1.0)
-  /// with the jitter drawn deterministically from (data_seed, k) so runs
-  /// are reproducible. base == 0 keeps the legacy immediate-respawn
-  /// behavior. Waits are counted in ResilientTrainResult and the metrics
-  /// registry (resilient.backoff_waits / resilient.backoff_wait_ms).
+  /// with cap = max(base, 2 s) and the jitter drawn deterministically from
+  /// (data_seed, k) so runs are reproducible. base == 0 keeps the legacy
+  /// immediate-respawn behavior. Waits are counted in ResilientTrainResult
+  /// and the metrics registry (resilient.backoff_waits /
+  /// resilient.backoff_wait_ms).
   std::chrono::milliseconds restart_backoff_base{0};
-  std::chrono::milliseconds restart_backoff_cap{2000};
 
   /// Elastic fault tolerance (DESIGN.md §11). When enabled the driver runs
   /// the world with membership tracking: heartbeats on the comm progress

@@ -47,12 +47,6 @@ namespace axonn::train {
 class SdcEscalationError : public Error {
  public:
   SdcEscalationError(std::uint64_t step, int replays);
-  std::uint64_t step() const { return step_; }
-  int replays() const { return replays_; }
-
- private:
-  std::uint64_t step_;
-  int replays_;
 };
 
 struct SentinelConfig {
@@ -61,15 +55,9 @@ struct SentinelConfig {
   /// AXONN_INTEGRITY env override at construction.
   integrity::IntegrityMode mode = integrity::IntegrityMode::kOff;
 
-  /// A step is unhealthy when its global gradient sum-of-squares exceeds
-  /// `spike_factor` x the EMA of previous healthy steps (or is NaN/inf, or
-  /// the loss is). 1e3 tolerates two decades of ordinary growth while a
-  /// high-exponent bit flip overshoots by many more.
-  double spike_factor = 1e3;
-  /// EMA weight of the newest healthy observation.
-  double ema_decay = 0.5;
-  /// Steps observed before the spike check arms (the EMA needs samples;
-  /// NaN/inf checks are always armed).
+  /// Steps observed before the gradient-spike check arms (the EMA needs
+  /// samples; NaN/inf checks are always armed). See sentinel.cpp for the
+  /// spike threshold.
   int warmup_steps = 2;
 
   /// Journal ring depth: how many pre-step snapshots stay in memory.
@@ -87,8 +75,6 @@ class TrainingSentinel {
   TrainingSentinel(const SentinelConfig& config, comm::Communicator& world,
                    GPTModel& model, Adam& adam);
 
-  /// The mode after the AXONN_INTEGRITY override.
-  integrity::IntegrityMode mode() const { return mode_; }
   bool enabled() const { return mode_ != integrity::IntegrityMode::kOff; }
 
   /// Snapshots the pre-step state (weights, Adam moments + step counter,
@@ -109,7 +95,6 @@ class TrainingSentinel {
 
  private:
   struct Snapshot {
-    std::uint64_t step = 0;
     std::vector<Matrix> weights;  ///< for_each_parameter order
     std::vector<Matrix> m, v;     ///< Adam moments, registration order
     std::int64_t adam_step = 0;

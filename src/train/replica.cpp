@@ -1,7 +1,6 @@
 #include "axonn/train/replica.hpp"
 
 #include <algorithm>
-#include <array>
 
 #include "axonn/base/error.hpp"
 #include "axonn/base/partition.hpp"
@@ -96,14 +95,13 @@ void reshard_restore(const std::vector<std::vector<std::byte>>& old_blobs,
     readers.emplace_back(std::span<const std::byte>(blob));
   }
   for (int s = 0; s < old_world; ++s) {
-    ByteReader meta(readers[static_cast<std::size_t>(s)].section("meta"));
-    const std::uint32_t saved_rank = meta.get_u32();
-    const std::uint32_t saved_world = meta.get_u32();
-    if (saved_rank != static_cast<std::uint32_t>(s) ||
-        saved_world != static_cast<std::uint32_t>(old_world)) {
+    const SnapshotMeta meta =
+        read_snapshot_meta(readers[static_cast<std::size_t>(s)]);
+    if (meta.rank != static_cast<std::uint32_t>(s) ||
+        meta.world_size != static_cast<std::uint32_t>(old_world)) {
       throw CheckpointError(
           "reshard_restore: blob " + std::to_string(s) + " was written by " +
-          std::to_string(saved_rank) + "/" + std::to_string(saved_world) +
+          std::to_string(meta.rank) + "/" + std::to_string(meta.world_size) +
           ", expected " + std::to_string(s) + "/" + std::to_string(old_world));
     }
   }
@@ -181,18 +179,7 @@ void reshard_restore(const std::vector<std::vector<std::byte>>& old_blobs,
     }
   }
 
-  {
-    ByteReader t(readers[0].section("adam.t"));
-    adam.set_step_count(t.get_i64());
-  }
-  {
-    ByteReader cur(readers[0].section("cursor"));
-    cursor.step = cur.get_u64();
-    cursor.next_doc = cur.get_u64();
-    std::array<std::uint64_t, 4> state;
-    for (auto& word : state) word = cur.get_u64();
-    cursor.rng.set_state(state);
-  }
+  read_step_state(readers[0], adam, cursor);
 }
 
 }  // namespace axonn::train

@@ -7,165 +7,45 @@
 
 #include "axonn/base/log.hpp"
 #include "axonn/base/metrics.hpp"
-#include "axonn/comm/thread_comm.hpp"
-#include "axonn/core/grid4d.hpp"
-#include "axonn/train/checkpoint.hpp"
 #include "axonn/train/elastic.hpp"
-#include "axonn/train/telemetry.hpp"
 
 namespace axonn::train {
 
 namespace {
 
-comm::WorldOptions world_options(const ResilientTrainConfig& config) {
-  comm::WorldOptions options;
-  options.collective_timeout = config.collective_timeout;
-  options.ring_crc = config.ring_crc;
-  options.crc_max_retries = config.crc_max_retries;
-  return options;
+/// Ceiling of the supervisor's exponential restart backoff: the doubling
+/// stops here (or at restart_backoff_base, if that is larger), so a
+/// hard-down dependency is retried every few seconds, not minutes.
+constexpr std::uint64_t kRestartBackoffCapMs = 2000;
+
+std::unique_ptr<comm::ChaosComm> chaos_for_world(
+    const ResilientTrainConfig& config, bool first_world,
+    comm::Communicator& raw) {
+  if (!config.enable_chaos) return nullptr;
+  comm::ChaosConfig chaos = config.chaos;
+  if (!first_world) {
+    // A later world (supervisor restart or elastic epoch) models the failed
+    // node as replaced: the crash, the hang and the one-shot memory
+    // corruption (all tied to the failed hardware) do not re-fire, but
+    // latency/probabilistic chaos and the watchdog stay armed.
+    chaos.crash_rank = -1;
+    chaos.hang_rank = -1;
+    chaos.corrupt_once_rank = -1;
+  }
+  return std::make_unique<comm::ChaosComm>(raw, chaos);
 }
 
-/// One attempt: spawn the world, restore the newest fully-valid checkpoint,
-/// train to total_steps, evaluate. Throws whatever a rank threw (RankFailure
-/// under chaos, CommTimeoutError from the watchdog, ...).
-void run_attempt(const ResilientTrainConfig& config,
-                 const comm::ChaosConfig& chaos, ResilientTrainResult& result,
-                 std::mutex& result_mutex) {
-  namespace fs = std::filesystem;
-  const int world_size = static_cast<int>(config.grid.total());
-
+/// One disk-restart attempt: spawn the world, restore the newest fully-valid
+/// checkpoint, train to total_steps, evaluate. Throws whatever a rank threw
+/// (RankFailure under chaos, CommTimeoutError from the watchdog, ...).
+void run_attempt(const ResilientTrainConfig& config, bool first_attempt,
+                 ResilientTrainResult& result, std::mutex& result_mutex) {
   comm::run_ranks(
-      world_size,
+      static_cast<int>(config.grid.total()),
       [&](comm::Communicator& world) {
-        std::unique_ptr<comm::ChaosComm> chaos_comm;
-        comm::Communicator* comm = &world;
-        if (config.enable_chaos) {
-          chaos_comm = std::make_unique<comm::ChaosComm>(world, chaos);
-          comm = chaos_comm.get();
-        }
-
-        core::Grid4D grid(*comm, config.grid);
-        GPTModel model(grid, config.model);
-        Adam adam(config.adam);
-        model.register_params(adam);
-        const BucketCorpus corpus(config.corpus);
-
-        const int rank = world.rank();
-        TrainCursor cursor;
-        cursor.rng = Rng(config.data_seed);
-
-        // Restore: every rank loads its own file of the newest step whose
-        // *entire* rank set validates — all ranks agree on the step because
-        // the scan is deterministic over the same directory.
-        const std::int64_t restored_step =
-            find_latest_valid_step(config.checkpoint_dir, world_size);
-        if (restored_step >= 0) {
-          const std::string path =
-              (fs::path(config.checkpoint_dir) /
-               checkpoint_filename(static_cast<std::uint64_t>(restored_step),
-                                   rank))
-                  .string();
-          load_checkpoint(path, model, adam, cursor, rank, world_size);
-          if (rank == 0) {
-            AXONN_LOG_INFO << "resilient: restored step " << restored_step
-                           << " from " << config.checkpoint_dir;
-          }
-        }
-
-        TrainingSentinel sentinel(config.sentinel, *comm, model, adam);
-
-        // Live telemetry (DESIGN.md §10): no-ops unless obs::metrics is
-        // enabled (AXONN_METRICS / MetricsSession). The fold runs on the raw
-        // world communicator so fault injection cannot corrupt the telemetry
-        // that is supposed to diagnose it — chaos-injected latency still
-        // shows up, because it delays the *instrumented* step window.
-        StepTelemetryCollector telemetry(world, &grid);
-        obs::StragglerMonitor stragglers(config.straggler);
-
-        const auto batch = static_cast<std::uint64_t>(config.batch_per_rank);
-        while (cursor.step < static_cast<std::uint64_t>(config.total_steps)) {
-          // Journal the pre-step state (weights, moments, cursor — including
-          // the data RNG *before* the jitter draw) so an unhealthy step can
-          // be rolled back and replayed on identical data.
-          sentinel.journal(cursor);
-          telemetry.begin_step();
-
-          // One shared RNG draw per step jitters the document window; every
-          // rank draws identically (same cursor state), then takes its own
-          // slice — the data-parallel sharding.
-          const std::uint64_t jitter = cursor.rng.uniform_int(1u << 16);
-          std::vector<TokenSeq> sequences;
-          sequences.reserve(batch);
-          for (std::uint64_t b = 0; b < batch; ++b) {
-            sequences.push_back(corpus.background_doc(
-                cursor.next_doc + jitter +
-                static_cast<std::uint64_t>(rank) * batch + b));
-          }
-
-          model.zero_grad();
-          const float loss = model.train_step(sequences);
-          // Health consensus before the optimizer applies the gradients. On
-          // an unhealthy verdict (kHeal) the sentinel restored the journal
-          // snapshot — including `cursor` — so the loop replays this step.
-          if (!sentinel.check_step(loss, cursor)) {
-            if (rank == 0) {
-              std::lock_guard<std::mutex> lock(result_mutex);
-              ++result.step_replays;
-            }
-            continue;
-          }
-          adam.step();
-
-          cursor.step += 1;
-          cursor.next_doc += static_cast<std::uint64_t>(world_size) * batch;
-          if (rank == 0) {
-            std::lock_guard<std::mutex> lock(result_mutex);
-            ++result.steps_executed;
-            AXONN_LOG_DEBUG << "resilient: step " << cursor.step << " loss "
-                            << loss;
-          }
-
-          // Healthy step: fold the cross-rank telemetry (collective; gated
-          // on the process-global metrics flag, so all ranks agree).
-          if (telemetry.active()) {
-            const obs::StepTelemetry t = telemetry.end_step(cursor.step, loss);
-            if (rank == 0) {
-              obs::emit_step(t);
-              const std::vector<int> newly = stragglers.observe(t);
-              std::lock_guard<std::mutex> lock(result_mutex);
-              ++result.telemetry_steps;
-              result.straggler_ranks.insert(result.straggler_ranks.end(),
-                                            newly.begin(), newly.end());
-            }
-          }
-
-          if (config.checkpoint_every > 0 &&
-              cursor.step %
-                      static_cast<std::uint64_t>(config.checkpoint_every) ==
-                  0) {
-            const std::string path =
-                (fs::path(config.checkpoint_dir) /
-                 checkpoint_filename(cursor.step, rank))
-                    .string();
-            save_checkpoint(path, model, adam, cursor, rank, world_size);
-            std::lock_guard<std::mutex> lock(result_mutex);
-            ++result.checkpoints_written;
-          }
-        }
-
-        // Fixed eval batch (independent of the cursor) so the final loss is
-        // comparable across faulted and fault-free runs.
-        std::vector<TokenSeq> eval_batch;
-        for (std::uint64_t b = 0; b < batch; ++b) {
-          eval_batch.push_back(corpus.background_doc(
-              1'000'000 + static_cast<std::uint64_t>(rank) * batch + b));
-        }
-        const float eval_loss = model.evaluate_loss(eval_batch);
-        if (rank == 0) {
-          std::lock_guard<std::mutex> lock(result_mutex);
-          result.final_loss = eval_loss;
-          result.final_world_size = world_size;
-        }
+        RankTrainer trainer(config, first_attempt, world, config.grid);
+        trainer.restore_from_disk();
+        trainer.run({}, result, result_mutex);
       },
       world_options(config));
 }
@@ -180,9 +60,7 @@ void backoff_before_restart(const ResilientTrainConfig& config, int attempt,
   if (config.restart_backoff_base.count() <= 0) return;
   const auto base =
       static_cast<std::uint64_t>(config.restart_backoff_base.count());
-  const auto cap = std::max(
-      base, static_cast<std::uint64_t>(
-                std::max<long long>(0, config.restart_backoff_cap.count())));
+  const auto cap = std::max(base, kRestartBackoffCapMs);
   std::uint64_t raw = base;
   for (int i = 0; i < attempt && raw < cap; ++i) raw <<= 1;
   raw = std::min(raw, cap);
@@ -211,6 +89,148 @@ void backoff_before_restart(const ResilientTrainConfig& config, int attempt,
 
 }  // namespace
 
+comm::WorldOptions world_options(const ResilientTrainConfig& config) {
+  comm::WorldOptions options;
+  options.collective_timeout = config.collective_timeout;
+  options.ring_crc = config.ring_crc;
+  options.crc_max_retries = config.crc_max_retries;
+  return options;
+}
+
+// ---------------------------------------------------------------------------
+// RankTrainer: the per-rank loop both drivers run
+// ---------------------------------------------------------------------------
+
+RankTrainer::RankTrainer(const ResilientTrainConfig& config, bool first_world,
+                         comm::Communicator& raw,
+                         const sim::GridShape& shape)
+    : config_(config),
+      chaos_(chaos_for_world(config, first_world, raw)),
+      comm_(chaos_ ? *chaos_ : raw),
+      grid_(comm_, shape),
+      rank(raw.rank()),
+      world_size(raw.size()),
+      model(grid_, config.model),
+      adam(config.adam),
+      corpus_(config.corpus),
+      sentinel_(config.sentinel, comm_, model, adam),
+      // Live telemetry (DESIGN.md §10): no-ops unless obs::metrics is
+      // enabled (AXONN_METRICS / MetricsSession). The fold runs on the raw
+      // communicator so fault injection cannot corrupt the telemetry that is
+      // supposed to diagnose it — chaos-injected latency still shows up,
+      // because it delays the *instrumented* step window.
+      telemetry_(raw, &grid_) {
+  model.register_params(adam);
+  cursor.rng = Rng(config.data_seed);
+}
+
+std::string RankTrainer::checkpoint_path(std::uint64_t step) const {
+  return (std::filesystem::path(config_.checkpoint_dir) /
+          checkpoint_filename(step, rank))
+      .string();
+}
+
+void RankTrainer::restore_from_disk() {
+  // All ranks agree on the step because the scan is deterministic over the
+  // same directory.
+  const std::int64_t step =
+      find_latest_valid_step(config_.checkpoint_dir, world_size);
+  if (step < 0) return;
+  load_checkpoint(checkpoint_path(static_cast<std::uint64_t>(step)), model,
+                  adam, cursor, rank, world_size);
+  if (rank == 0) {
+    AXONN_LOG_INFO << "resilient: restored step " << step << " from "
+                   << config_.checkpoint_dir;
+  }
+}
+
+void RankTrainer::run(const Hooks& hooks, ResilientTrainResult& result,
+                      std::mutex& result_mutex) {
+  obs::StragglerMonitor stragglers(config_.straggler);
+  const auto batch = static_cast<std::uint64_t>(config_.batch_per_rank);
+  while (cursor.step < static_cast<std::uint64_t>(config_.total_steps)) {
+    // Journal the pre-step state (weights, moments, cursor — including the
+    // data RNG *before* the jitter draw) so an unhealthy step can be rolled
+    // back and replayed on identical data.
+    sentinel_.journal(cursor);
+    telemetry_.begin_step();
+
+    // One shared RNG draw per step jitters the document window; every rank
+    // draws identically (same cursor state), then takes its own slice — the
+    // data-parallel sharding.
+    const std::uint64_t jitter = cursor.rng.uniform_int(1u << 16);
+    std::vector<TokenSeq> sequences;
+    sequences.reserve(batch);
+    for (std::uint64_t b = 0; b < batch; ++b) {
+      sequences.push_back(corpus_.background_doc(
+          cursor.next_doc + jitter + static_cast<std::uint64_t>(rank) * batch +
+          b));
+    }
+
+    model.zero_grad();
+    const float loss = model.train_step(sequences);
+    // Health consensus before the optimizer applies the gradients. On an
+    // unhealthy verdict (kHeal) the sentinel restored the journal snapshot —
+    // including `cursor` — so the loop replays this step.
+    if (!sentinel_.check_step(loss, cursor)) {
+      if (rank == 0) {
+        std::lock_guard<std::mutex> lock(result_mutex);
+        ++result.step_replays;
+      }
+      continue;
+    }
+    adam.step();
+
+    cursor.step += 1;
+    cursor.next_doc += static_cast<std::uint64_t>(world_size) * batch;
+    if (rank == 0) {
+      std::lock_guard<std::mutex> lock(result_mutex);
+      ++result.steps_executed;
+      AXONN_LOG_DEBUG << "resilient: step " << cursor.step << " loss "
+                      << loss;
+    }
+    if (hooks.after_step) hooks.after_step();
+
+    // Healthy step: fold the cross-rank telemetry (collective; gated on the
+    // process-global metrics flag, so all ranks agree).
+    if (telemetry_.active()) {
+      const obs::StepTelemetry t = telemetry_.end_step(cursor.step, loss);
+      if (rank == 0) {
+        obs::emit_step(t);
+        const std::vector<int> newly = stragglers.observe(t);
+        std::lock_guard<std::mutex> lock(result_mutex);
+        ++result.telemetry_steps;
+        result.straggler_ranks.insert(result.straggler_ranks.end(),
+                                      newly.begin(), newly.end());
+      }
+    }
+
+    if (config_.checkpoint_every > 0 &&
+        cursor.step % static_cast<std::uint64_t>(config_.checkpoint_every) ==
+            0) {
+      if (hooks.at_checkpoint) hooks.at_checkpoint();
+      save_checkpoint(checkpoint_path(cursor.step), model, adam, cursor, rank,
+                      world_size);
+      std::lock_guard<std::mutex> lock(result_mutex);
+      ++result.checkpoints_written;
+    }
+  }
+
+  // Fixed eval batch (independent of the cursor) so the final loss is
+  // comparable across faulted, recovered and fault-free runs.
+  std::vector<TokenSeq> eval_batch;
+  for (std::uint64_t b = 0; b < batch; ++b) {
+    eval_batch.push_back(corpus_.background_doc(
+        1'000'000 + static_cast<std::uint64_t>(rank) * batch + b));
+  }
+  const float eval_loss = model.evaluate_loss(eval_batch);
+  if (rank == 0) {
+    std::lock_guard<std::mutex> lock(result_mutex);
+    result.final_loss = eval_loss;
+    result.final_world_size = world_size;
+  }
+}
+
 ResilientTrainResult run_resilient_training(
     const ResilientTrainConfig& config) {
   AXONN_CHECK_MSG(config.grid.gx == 1 && config.grid.gy == 1,
@@ -228,24 +248,12 @@ ResilientTrainResult run_resilient_training(
 
   ResilientTrainResult result;
   std::mutex result_mutex;
+  const auto attempt_once =
+      config.elastic.enabled ? run_elastic_attempt : run_attempt;
 
   for (int attempt = 0;; ++attempt) {
-    comm::ChaosConfig chaos = config.chaos;
-    if (attempt > 0) {
-      // The restarted world models the failed node having been replaced:
-      // the crash, the hang and the one-shot memory corruption (all
-      // transient, tied to the failed hardware) do not re-fire, but
-      // latency/corruption chaos (and the watchdog) stay armed.
-      chaos.crash_rank = -1;
-      chaos.hang_rank = -1;
-      chaos.corrupt_once_rank = -1;
-    }
     try {
-      if (config.elastic.enabled) {
-        run_elastic_attempt(config, chaos, result, result_mutex);
-      } else {
-        run_attempt(config, chaos, result, result_mutex);
-      }
+      attempt_once(config, attempt == 0, result, result_mutex);
       return result;
     } catch (const std::exception& e) {
       if (attempt >= config.max_restarts) {

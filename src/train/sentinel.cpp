@@ -12,6 +12,14 @@ namespace axonn::train {
 
 namespace {
 
+/// A step is unhealthy when its global gradient sum-of-squares exceeds
+/// kSpikeFactor x the EMA of previous healthy steps (or is NaN/inf, or the
+/// loss is). 1e3 tolerates two decades of ordinary growth while a
+/// high-exponent bit flip overshoots by many more.
+constexpr double kSpikeFactor = 1e3;
+/// EMA weight of the newest healthy observation.
+constexpr double kEmaDecay = 0.5;
+
 std::string escalation_message(std::uint64_t step, int replays) {
   return "sentinel escalation at step " + std::to_string(step) + " after " +
          std::to_string(replays) +
@@ -21,7 +29,7 @@ std::string escalation_message(std::uint64_t step, int replays) {
 }  // namespace
 
 SdcEscalationError::SdcEscalationError(std::uint64_t step, int replays)
-    : Error(escalation_message(step, replays)), step_(step), replays_(replays) {}
+    : Error(escalation_message(step, replays)) {}
 
 TrainingSentinel::TrainingSentinel(const SentinelConfig& config,
                                    comm::Communicator& world, GPTModel& model,
@@ -41,7 +49,6 @@ void TrainingSentinel::journal(const TrainCursor& cursor) {
   // the journal budget — ~3x the parameter bytes per retained snapshot.
   const mem::ArenaScope scope(mem::Tag::kJournal);
   Snapshot snap;
-  snap.step = cursor.step;
   snap.cursor = cursor;
   snap.adam_step = adam_.step_count();
   model_.for_each_parameter(
@@ -90,13 +97,12 @@ bool TrainingSentinel::check_step(float loss, TrainCursor& cursor) {
   const double global_sumsq = word[1];
   const bool non_finite = word[0] != 0.0f || !std::isfinite(global_sumsq);
   const bool spike = healthy_steps_ >= config_.warmup_steps && ema_ > 0.0 &&
-                     global_sumsq > config_.spike_factor * ema_;
+                     global_sumsq > kSpikeFactor * ema_;
 
   if (!non_finite && !spike) {
     ema_ = healthy_steps_ == 0
                ? global_sumsq
-               : (1.0 - config_.ema_decay) * ema_ +
-                     config_.ema_decay * global_sumsq;
+               : (1.0 - kEmaDecay) * ema_ + kEmaDecay * global_sumsq;
     ++healthy_steps_;
     if (consecutive_failures_ > 0) {
       // A previously-unhealthy step replayed clean: the corruption is healed.

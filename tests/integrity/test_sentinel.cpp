@@ -10,6 +10,8 @@
 #include <cmath>
 #include <filesystem>
 #include <limits>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "axonn/comm/thread_comm.hpp"
@@ -235,11 +237,12 @@ TEST(SentinelTest, ReplayBudgetExhaustionEscalates) {
 // End-to-end demonstrated heal (the PR's acceptance run, test-sized).
 // ---------------------------------------------------------------------------
 
-ResilientTrainConfig sentinel_config(const fs::path& checkpoint_dir) {
+ResilientTrainConfig sentinel_config(const fs::path& checkpoint_dir,
+                                     sim::GridShape grid = {1, 1, 1, 2}) {
   ResilientTrainConfig config;
   config.model = tiny_model();
   config.corpus = tiny_corpus();
-  config.grid = sim::GridShape{1, 1, 1, 2};
+  config.grid = grid;
   config.adam.lr = 5e-3f;
   config.total_steps = 6;
   config.batch_per_rank = 2;
@@ -250,14 +253,35 @@ ResilientTrainConfig sentinel_config(const fs::path& checkpoint_dir) {
   return config;
 }
 
-TEST(SentinelTest, OneShotMemoryCorruptionHealsBitIdentical) {
-  const auto reference =
-      run_resilient_training(sentinel_config(scratch_dir("reference")));
+/// Which recovery driver runs the sentinel: the disk-restart driver on a
+/// data-parallel grid, or the elastic driver (which re-shards over Z, so it
+/// needs gdata == 1).
+struct HealCase {
+  bool elastic;
+  sim::GridShape grid;
+};
+
+void PrintTo(const HealCase& c, std::ostream* os) {
+  *os << (c.elastic ? "elastic_" : "disk_restart_") << c.grid.gx << "x"
+      << c.grid.gy << "x" << c.grid.gz << "x" << c.grid.gdata;
+}
+
+class SentinelHealTest : public ::testing::TestWithParam<HealCase> {
+ protected:
+  ResilientTrainConfig heal_config(const std::string& name) const {
+    auto config = sentinel_config(scratch_dir(name), GetParam().grid);
+    config.elastic.enabled = GetParam().elastic;
+    return config;
+  }
+};
+
+TEST_P(SentinelHealTest, OneShotMemoryCorruptionHealsBitIdentical) {
+  const auto reference = run_resilient_training(heal_config("reference"));
   EXPECT_EQ(reference.restarts, 0);
   EXPECT_EQ(reference.step_replays, 0u);
   EXPECT_EQ(reference.steps_executed, 6u);
 
-  auto config = sentinel_config(scratch_dir("corrupted"));
+  auto config = heal_config("corrupted");
   config.enable_chaos = true;
   config.chaos.seed = 13;
   // One high-exponent bit flip in a mid-training collective result — the
@@ -280,6 +304,11 @@ TEST(SentinelTest, OneShotMemoryCorruptionHealsBitIdentical) {
   EXPECT_EQ(after.sdc_detected - before.sdc_detected,
             after.sdc_recovered - before.sdc_recovered);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Drivers, SentinelHealTest,
+    ::testing::Values(HealCase{false, sim::GridShape{1, 1, 1, 2}},
+                      HealCase{true, sim::GridShape{1, 1, 2, 1}}));
 
 TEST(SentinelTest, EscalationFallsBackToCheckpointRestart) {
   // Detect mode cannot heal in-run: the sentinel escalates, and the PR 1
