@@ -68,7 +68,7 @@ struct HwmRun {
 };
 
 /// One tracked run: warm up, open a checker window, train, cross-validate.
-/// The sentinel journals at kHeal depth 2 so every tag is populated.
+/// The sentinel journals at kHeal so every tag is populated.
 HwmRun run_tracked_window() {
   HwmRun out;
   comm::run_ranks(1, [&](comm::Communicator& world) {
@@ -81,7 +81,6 @@ HwmRun run_tracked_window() {
 
     train::SentinelConfig sentinel_config;
     sentinel_config.mode = integrity::IntegrityMode::kHeal;
-    sentinel_config.journal_depth = 2;
     train::TrainingSentinel sentinel(sentinel_config, world, model, adam);
 
     const auto batch = make_batch(model_config.vocab);
@@ -105,7 +104,7 @@ HwmRun run_tracked_window() {
     config.input_len = static_cast<int>(kLen) - 1;
     config.overlap_collectives = false;
     config.gemm_lanes = 1;
-    config.journal_depth = sentinel_config.journal_depth;
+    config.sentinel = true;
     out.check = checker.finish(perf::predict_memory(config));
   });
   return out;

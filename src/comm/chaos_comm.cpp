@@ -31,17 +31,23 @@ std::size_t schedule_bit(std::uint64_t seed, int rank, std::uint64_t op,
   return static_cast<std::size_t>(h % (n * 32));
 }
 
+/// Bit of element 0 flipped by the targeted wire fault and the one-shot
+/// memory corruption: it turns an ordinary value into an astronomically
+/// wrong one.
+constexpr std::size_t kTargetBit = 30;
+
 void flip_payload_bit(std::span<float> payload, std::size_t bit) {
   auto* words = reinterpret_cast<std::uint32_t*>(payload.data());
   words[bit / 32] ^= (1u << (bit % 32));
 }
 
-/// Hash of one wire message's full identity. The attempt is folded in so a
-/// retransmission of the same message redraws its probabilistic faults.
+/// Hash of the message fields the program fixes. The communicator id is
+/// left out: sub-communicator ids follow first arrival at split(). The
+/// attempt is folded in so a retransmission of the same message redraws its
+/// probabilistic faults.
 std::uint64_t wire_hash(std::uint64_t seed,
                         const ThreadWorld::WireContext& ctx) {
-  std::uint64_t h = hash_combine(seed, ctx.comm_id);
-  h = hash_combine(h, ctx.seq);
+  std::uint64_t h = hash_combine(seed, ctx.seq);
   h = hash_combine(h, (static_cast<std::uint64_t>(
                            static_cast<std::uint32_t>(ctx.src_world_rank))
                        << 32) |
@@ -63,10 +69,6 @@ void apply_wire_chaos(const ChaosConfig& cfg,
   const WireChaosConfig& w = cfg.wire;
   if (payload.empty()) return;
   const std::uint64_t h = wire_hash(cfg.seed, ctx);
-  if (w.delay_probability > 0.0 && w.delay.count() > 0 &&
-      wire_draw(h, 0xDE1Aull) < w.delay_probability) {
-    std::this_thread::sleep_for(w.delay);
-  }
   if (w.corrupt_probability > 0.0 &&
       wire_draw(h, 0xC0FFull) < w.corrupt_probability) {
     flip_payload_bit(payload,
@@ -77,54 +79,45 @@ void apply_wire_chaos(const ChaosConfig& cfg,
   }
   if (w.target_seq >= 0 && ctx.attempt == 0 &&
       ctx.seq == static_cast<std::uint64_t>(w.target_seq) &&
-      ctx.comm_id == w.target_comm_id && ctx.msg_index == w.target_msg_index &&
+      ctx.comm_id == 0 && ctx.msg_index == w.target_msg_index &&
       (w.target_src_world_rank < 0 ||
        ctx.src_world_rank == w.target_src_world_rank)) {
-    flip_payload_bit(payload, static_cast<std::size_t>(w.target_bit & 31));
+    flip_payload_bit(payload, kTargetBit);
     integrity::counters().wire_faults_injected.fetch_add(
         1, std::memory_order_relaxed);
   }
 }
 
-}  // namespace
-
-namespace {
 /// Provenance tag folded into every injected-fault report: the seed plus the
 /// per-rank collective (draw) index reproduce the fault deterministically.
 std::string chaos_note(std::uint64_t seed, std::uint64_t draw) {
   return "chaos seed=" + std::to_string(seed) + " draw=" + std::to_string(draw);
 }
+
 }  // namespace
 
 ChaosComm::ChaosComm(Communicator& inner, const ChaosConfig& config)
     : inner_(&inner), state_(std::make_shared<State>()) {
+  auto* thread_comm = dynamic_cast<ThreadComm*>(&inner);
+  AXONN_CHECK_MSG(thread_comm != nullptr,
+                  "ChaosComm needs a ThreadComm: its wire faults and hang act "
+                  "on the ThreadWorld");
   state_->config = config;
   state_->world_rank = inner.rank();
-  maybe_install_wire_chaos();
+  ThreadWorld* world = thread_comm->thread_world();
   // Tag the world so even errors raised below the chaos layer (watchdog
   // timeouts, ring CRC escalations) carry the seed that provoked them.
-  if (auto* thread_comm = dynamic_cast<ThreadComm*>(inner_)) {
-    thread_comm->thread_world()->set_fault_note(
-        "chaos seed=" + std::to_string(config.seed));
+  world->set_fault_note("chaos seed=" + std::to_string(config.seed));
+  if (config.wire.active()) {
+    // The hook is world-global and the schedule is a pure function of the
+    // config, so every rank installing its own (identical) copy is
+    // idempotent.
+    world->set_wire_fault_hook(
+        [config](const ThreadWorld::WireContext& ctx,
+                 std::span<float> payload) {
+          apply_wire_chaos(config, ctx, payload);
+        });
   }
-}
-
-void ChaosComm::maybe_install_wire_chaos() {
-  if (!state_->config.wire.active()) return;
-  auto* thread_comm = dynamic_cast<ThreadComm*>(inner_);
-  if (thread_comm == nullptr) {
-    AXONN_LOG_WARN << "ChaosComm: wire-level chaos configured but the inner "
-                      "communicator is not a ThreadComm; per-segment faults "
-                      "disabled";
-    return;
-  }
-  // The hook is world-global and the schedule is a pure function of the
-  // config, so every rank installing its own (identical) copy is idempotent.
-  const ChaosConfig cfg = state_->config;
-  thread_comm->thread_world()->set_wire_fault_hook(
-      [cfg](const ThreadWorld::WireContext& ctx, std::span<float> payload) {
-        apply_wire_chaos(cfg, ctx, payload);
-      });
 }
 
 ChaosComm::ChaosComm(std::unique_ptr<Communicator> owned,
@@ -133,10 +126,6 @@ ChaosComm::ChaosComm(std::unique_ptr<Communicator> owned,
 
 const std::vector<FaultEvent>& ChaosComm::fault_log() const {
   return state_->log;
-}
-
-std::uint64_t ChaosComm::collectives_issued() const {
-  return state_->next_collective;
 }
 
 std::uint64_t ChaosComm::begin_collective() {
@@ -156,17 +145,13 @@ std::uint64_t ChaosComm::begin_collective() {
                          inner_->name() + "\" (" + note + ")"});
     AXONN_LOG_WARN << "ChaosComm: injecting hang of rank " << s.world_rank
                    << " at collective #" << op << " (" << note << ")";
-    auto* thread_comm = dynamic_cast<ThreadComm*>(inner_);
-    if (thread_comm == nullptr) {
-      AXONN_LOG_WARN << "ChaosComm: hang fault needs a ThreadComm inner to "
-                        "observe the world; degrading to a crash";
-      throw RankFailure(s.world_rank, op, note);
-    }
     // Go silent: no collective is issued, no heartbeat beats. Spin until the
     // world aborts (watchdog path) or a peer's heartbeat check declares this
-    // rank dead (elastic path), then unwind like a crashed rank.
-    ThreadWorld* world = thread_comm->thread_world();
-    const int my_world = thread_comm->world_rank_of(thread_comm->rank());
+    // rank dead (elastic path), then unwind like a crashed rank. The inner
+    // communicator is the wrapped ThreadComm or one split from it.
+    auto& thread_comm = dynamic_cast<ThreadComm&>(*inner_);
+    ThreadWorld* world = thread_comm.thread_world();
+    const int my_world = thread_comm.world_rank_of(thread_comm.rank());
     for (;;) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
       if (world->aborted() || (world->elastic() && world->is_dead(my_world))) {
@@ -195,11 +180,9 @@ void ChaosComm::maybe_corrupt(std::uint64_t op, std::span<float> result) {
     // result) at or after the configured index, so the target doesn't have
     // to dodge barriers and nonblocking issues.
     s.corrupt_once_fired = true;
-    flip_payload_bit(result.subspan(0, 1),
-                     static_cast<std::size_t>(s.config.corrupt_once_bit & 31));
+    flip_payload_bit(result.subspan(0, 1), kTargetBit);
     s.log.push_back({FaultEvent::Kind::kCorruption, op,
-                     "one-shot flipped bit " +
-                         std::to_string(s.config.corrupt_once_bit & 31) +
+                     "one-shot flipped bit " + std::to_string(kTargetBit) +
                          " of element 0 on \"" + inner_->name() + "\" (" +
                          chaos_note(s.config.seed, op) + ")"});
   }
@@ -210,8 +193,7 @@ void ChaosComm::maybe_corrupt(std::uint64_t op, std::span<float> result) {
   }
   const std::size_t bit =
       schedule_bit(s.config.seed, s.world_rank, op, result.size());
-  auto* words = reinterpret_cast<std::uint32_t*>(result.data());
-  words[bit / 32] ^= (1u << (bit % 32));
+  flip_payload_bit(result, bit);
   s.log.push_back({FaultEvent::Kind::kCorruption, op,
                    "flipped bit " + std::to_string(bit % 32) + " of element " +
                        std::to_string(bit / 32) + " on \"" + inner_->name() +

@@ -33,40 +33,32 @@
 
 namespace axonn::comm {
 
-/// Transport-level (per-segment) chaos. The PR 3 pipelined rings move each
+/// Transport-level (per-segment) chaos. The pipelined rings move each
 /// collective as many small hop messages; faults that only strike finished
 /// result buffers (corrupt_probability below) cannot exercise the segment
 /// CRC/retransmit protection, so these are applied *inside* the transport,
-/// per wire message, via ThreadWorld::set_wire_fault_hook. Only effective
-/// when the wrapped communicator is a ThreadComm (logged otherwise). All
-/// draws are pure functions of (seed, message coordinates, attempt): the
-/// same seed gives the same fault sequence, and a retransmission of the same
+/// per wire message, via ThreadWorld::set_wire_fault_hook. All draws are
+/// pure functions of (seed, seq, src, dest, msg_index, attempt) — not of the
+/// communicator id, which ThreadWorld hands to sub-communicators in
+/// first-arrival order — so the same seed gives the same fault sequence
+/// however the rank threads interleave, and a retransmission of the same
 /// message redraws independently (so a healing ring escapes a probabilistic
 /// fault), while the deterministic targeted flip fires on attempt 0 only.
 struct WireChaosConfig {
   /// Per-message probability of flipping one schedule-chosen payload bit.
   double corrupt_probability = 0.0;
 
-  /// Per-message probability of sleeping `delay` before delivery (per-hop
-  /// straggler emulation, below the collective API).
-  double delay_probability = 0.0;
-  std::chrono::microseconds delay{0};
-
-  /// Deterministic single-bit flip targeting exactly one message: collective
-  /// sequence number `target_seq` on communicator id `target_comm_id` (0 =
-  /// the world communicator), the `target_msg_index`-th message on the edge
-  /// from `target_src_world_rank` (-1 = every matching sender edge). Flips
-  /// `target_bit` of payload element 0 on the first transmission only.
-  /// -1 disables.
+  /// Deterministic single-bit flip targeting exactly one message on the
+  /// world communicator: collective sequence number `target_seq`, the
+  /// `target_msg_index`-th message on the edge from `target_src_world_rank`
+  /// (-1 = every matching sender edge). Flips bit 30 of payload element 0
+  /// on the first transmission only. -1 disables.
   long long target_seq = -1;
-  std::uint64_t target_comm_id = 0;
   std::uint64_t target_msg_index = 0;
   int target_src_world_rank = -1;
-  int target_bit = 30;
 
   bool active() const {
-    return corrupt_probability > 0.0 || delay_probability > 0.0 ||
-           target_seq >= 0;
+    return corrupt_probability > 0.0 || target_seq >= 0;
   }
 };
 
@@ -100,15 +92,14 @@ struct ChaosConfig {
 
   /// One-shot targeted *memory* corruption: at this rank's first eligible
   /// collective (blocking, non-empty result) at or after collective
-  /// #corrupt_once_collective, flip `corrupt_once_bit` of element 0 of the
-  /// result buffer. Post-collective, so it models corruption after delivery
+  /// #corrupt_once_collective, flip bit 30 of element 0 of the result
+  /// buffer. Post-collective, so it models corruption after delivery
   /// (bad HBM, ALU writeback) that no transport CRC can see — the fault class
   /// the training sentinel exists for. Bit 30 turns an ordinary value into
   /// an astronomically wrong one, which makes detection deterministic for
   /// threshold-based checks. -1 disables.
   int corrupt_once_rank = -1;
   std::uint64_t corrupt_once_collective = 0;
-  int corrupt_once_bit = 30;
 
   /// Transport-level per-segment faults (see WireChaosConfig).
   WireChaosConfig wire;
@@ -131,8 +122,9 @@ struct FaultEvent {
 class ChaosComm final : public Communicator {
  public:
   /// Wraps `inner` (not owned; must outlive this object) for the rank that
-  /// owns it. The rank identity used by crash/slow/corruption schedules is
-  /// inner.rank() at wrap time — wrap the *world* communicator.
+  /// owns it. `inner` must be a ThreadComm: the wire faults and the hang act
+  /// on its ThreadWorld. The rank identity used by crash/slow/corruption
+  /// schedules is inner.rank() at wrap time — wrap the *world* communicator.
   ChaosComm(Communicator& inner, const ChaosConfig& config);
   ~ChaosComm() override = default;
 
@@ -177,9 +169,6 @@ class ChaosComm final : public Communicator {
   /// sub-communicators split from it, in injection order.
   const std::vector<FaultEvent>& fault_log() const;
 
-  /// Collectives issued so far by this rank through chaos wrappers.
-  std::uint64_t collectives_issued() const;
-
  private:
   // Per-rank schedule state, shared with split() children.
   struct State {
@@ -196,9 +185,6 @@ class ChaosComm final : public Communicator {
   std::uint64_t begin_collective();
   void maybe_corrupt(std::uint64_t op, std::span<float> result);
   void verify_replicated(std::uint64_t op, std::span<const float> result);
-  /// Installs the WireChaosConfig schedule on the inner ThreadComm's world
-  /// (idempotent — every rank installs the same deterministic function).
-  void maybe_install_wire_chaos();
 
   Communicator* inner_;
   std::unique_ptr<Communicator> owned_;  // set for split() children

@@ -49,7 +49,7 @@ struct MemoryModelConfig {
   // Runtime knobs that change the allocation picture.
   bool overlap_collectives = false;  ///< OAG double-buffers the weight block
   int gemm_lanes = 1;                ///< concurrent A-pack scratch buffers
-  int journal_depth = 0;             ///< sentinel snapshots retained (0 = off)
+  bool sentinel = false;             ///< sentinel on: one journal snapshot
   int replica_slots = 0;             ///< in-memory checkpoint replicas (0 = off)
 };
 

@@ -146,14 +146,12 @@ MemoryPrediction predict_memory(const MemoryModelConfig& config) {
       kFloatBytes * (gdata * p_fc + W * max_fc_block / gz));
 
   // -- journal (sentinel.cpp, replica.cpp) ----------------------------------
-  // One sentinel snapshot = weights + both Adam moments = 3x the parameter
-  // elements; the deque briefly holds depth + 1 snapshots while a push
-  // displaces the oldest. Replica blobs serialize the same tensors at 4
-  // bytes each plus ~2 KiB of section framing, two steps deep per slot.
+  // The sentinel's one snapshot = weights + both Adam moments = 3x the
+  // parameter elements, overwritten in place every step. Replica blobs
+  // serialize the same tensors at 4 bytes each plus ~2 KiB of section
+  // framing, two steps deep per slot.
   double journal_bytes = 0;
-  if (config.journal_depth > 0) {
-    journal_bytes += (config.journal_depth + 1) * 3 * kFloatBytes * param_elems;
-  }
+  if (config.sentinel) journal_bytes += 3 * kFloatBytes * param_elems;
   if (config.replica_slots > 0) {
     const double blob =
         3 * kFloatBytes * (p_repl + p_fc / gz) + 2048.0;

@@ -86,16 +86,16 @@ std::vector<std::byte> CheckpointWriter::to_bytes() const {
   return out.take();
 }
 
-void CheckpointWriter::write(const std::string& path) const {
-  const std::vector<std::byte> bytes = to_bytes();
+void write_checkpoint_file(const std::string& path,
+                           std::span<const std::byte> image) {
   const std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) {
       throw CheckpointError("cannot open checkpoint file for writing: " + tmp);
     }
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
+    out.write(reinterpret_cast<const char*>(image.data()),
+              static_cast<std::streamsize>(image.size()));
     out.flush();
     if (!out) throw CheckpointError("short write to " + tmp);
   }
@@ -141,15 +141,24 @@ void CheckpointReader::parse(std::span<const std::byte> bytes,
                           " (expected " + std::to_string(kCheckpointVersion) +
                           ")");
   }
+  // The CRCs cover payloads only, so a length field is checked against the
+  // bytes left before it sizes an allocation: a flipped high bit must read
+  // as a torn file, not as a multi-GiB (or failing) allocation.
+  const auto checked_len = [&](std::uint64_t len) {
+    if (len > reader.remaining()) {
+      throw CheckpointError("checkpoint length field " + std::to_string(len) +
+                            " overruns " + origin);
+    }
+    return static_cast<std::size_t>(len);
+  };
   const std::uint32_t count = reader.get_u32();
   for (std::uint32_t s = 0; s < count; ++s) {
-    const std::uint32_t name_len = reader.get_u32();
-    std::string name(name_len, '\0');
+    std::string name(checked_len(reader.get_u32()), '\0');
     reader.get_bytes(
         std::as_writable_bytes(std::span<char>(name.data(), name.size())));
     const std::uint64_t payload_len = reader.get_u64();
     const std::uint32_t expected_crc = reader.get_u32();
-    std::vector<std::byte> payload(payload_len);
+    std::vector<std::byte> payload(checked_len(payload_len));
     reader.get_bytes(payload);
     const std::uint32_t actual_crc = crc32(payload.data(), payload.size());
     if (actual_crc != expected_crc) {
@@ -169,10 +178,6 @@ bool validate_checkpoint(const std::string& path) {
   }
 }
 
-bool CheckpointReader::has_section(const std::string& name) const {
-  return sections_.find(name) != sections_.end();
-}
-
 std::span<const std::byte> CheckpointReader::section(
     const std::string& name) const {
   auto it = sections_.find(name);
@@ -186,11 +191,9 @@ std::span<const std::byte> CheckpointReader::section(
 // Training-loop snapshot
 // ---------------------------------------------------------------------------
 
-namespace {
-
-CheckpointWriter build_train_snapshot(GPTModel& model, Adam& adam,
-                                      const TrainCursor& cursor, int rank,
-                                      int world_size) {
+std::vector<std::byte> encode_train_snapshot(GPTModel& model, Adam& adam,
+                                             const TrainCursor& cursor,
+                                             int rank, int world_size) {
   CheckpointWriter ckpt;
 
   {
@@ -231,25 +234,24 @@ CheckpointWriter build_train_snapshot(GPTModel& model, Adam& adam,
     ckpt.add_section("cursor", cur.take());
   }
 
-  return ckpt;
+  return ckpt.to_bytes();
 }
 
-void restore_train_snapshot(const CheckpointReader& ckpt,
-                            const std::string& origin, GPTModel& model,
-                            Adam& adam, TrainCursor& cursor, int rank,
-                            int world_size) {
+void load_checkpoint(const std::string& path, GPTModel& model, Adam& adam,
+                     TrainCursor& cursor, int rank, int world_size) {
+  const CheckpointReader ckpt(path);
   const SnapshotMeta meta = read_snapshot_meta(ckpt);
   if (meta.rank != static_cast<std::uint32_t>(rank) ||
       meta.world_size != static_cast<std::uint32_t>(world_size)) {
     throw CheckpointError(
-        "checkpoint " + origin + " was written by rank " +
+        "checkpoint " + path + " was written by rank " +
         std::to_string(meta.rank) + "/" + std::to_string(meta.world_size) +
         " but is being restored on rank " + std::to_string(rank) + "/" +
         std::to_string(world_size));
   }
   if (meta.param_slots != adam.num_params() ||
       meta.param_scalars != adam.total_parameter_count()) {
-    throw CheckpointError("checkpoint " + origin +
+    throw CheckpointError("checkpoint " + path +
                           " parameter layout does not match the live model");
   }
 
@@ -280,8 +282,6 @@ void restore_train_snapshot(const CheckpointReader& ckpt,
   read_step_state(ckpt, adam, cursor);
 }
 
-}  // namespace
-
 SnapshotMeta read_snapshot_meta(const CheckpointReader& ckpt) {
   ByteReader in(ckpt.section("meta"));
   SnapshotMeta meta;
@@ -303,31 +303,6 @@ void read_step_state(const CheckpointReader& ckpt, Adam& adam,
   std::array<std::uint64_t, 4> state;
   for (auto& word : state) word = cur.get_u64();
   cursor.rng.set_state(state);
-}
-
-void save_checkpoint(const std::string& path, GPTModel& model, Adam& adam,
-                     const TrainCursor& cursor, int rank, int world_size) {
-  build_train_snapshot(model, adam, cursor, rank, world_size).write(path);
-}
-
-void load_checkpoint(const std::string& path, GPTModel& model, Adam& adam,
-                     TrainCursor& cursor, int rank, int world_size) {
-  restore_train_snapshot(CheckpointReader(path), path, model, adam, cursor,
-                         rank, world_size);
-}
-
-std::vector<std::byte> encode_train_snapshot(GPTModel& model, Adam& adam,
-                                             const TrainCursor& cursor,
-                                             int rank, int world_size) {
-  return build_train_snapshot(model, adam, cursor, rank, world_size)
-      .to_bytes();
-}
-
-void decode_train_snapshot(std::span<const std::byte> bytes, GPTModel& model,
-                           Adam& adam, TrainCursor& cursor, int rank,
-                           int world_size) {
-  restore_train_snapshot(CheckpointReader(bytes), "<in-memory replica>",
-                         model, adam, cursor, rank, world_size);
 }
 
 std::string checkpoint_filename(std::uint64_t step, int rank) {

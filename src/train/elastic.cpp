@@ -6,6 +6,7 @@
 #include <exception>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -59,22 +60,21 @@ enum class Segment {
 
 using Plan = comm::ThreadWorld::ReconfigurePlan;
 
-/// Pushes this rank's current snapshot to its replica slot.
-void push_replica(ElasticShared& shared, RankTrainer& trainer,
+/// Pushes `image`, this rank's snapshot at its current step, to its replica
+/// slot.
+void push_replica(ElasticShared& shared, const RankTrainer& trainer,
+                  std::span<const std::byte> image,
                   ResilientTrainResult& result, std::mutex& result_mutex) {
-  shared.replicas.push(
-      trainer.rank, trainer.cursor.step,
-      encode_train_snapshot(trainer.model, trainer.adam, trainer.cursor,
-                            trainer.rank, trainer.world_size));
+  shared.replicas.push(trainer.rank, trainer.cursor.step, image);
   std::lock_guard<std::mutex> lock(result_mutex);
   ++result.replica_pushes;
 }
 
 /// Restores this rank's state at the start of a post-failure epoch from the
-/// in-memory replicas, and counts the recovery: survivors and swapped-in
-/// spares decode their own slot's blob (a swap keeps the world size, so
-/// blobs fit verbatim); a shrunk world re-shards every old slot's blob onto
-/// the survivor grid. Throws CheckpointError when the replica tier cannot
+/// in-memory replicas, and counts the recovery. Swapped-in spares, survivors
+/// and the ranks of a shrunk world alike cut their state out of every old
+/// slot's blob with reshard_restore; at an unchanged world size that cut is
+/// the slot's own blob. Throws CheckpointError when the replica tier cannot
 /// serve the recovery — the caller escalates to the supervisor's disk
 /// restart.
 void restore_from_replicas(const Plan& plan, ElasticShared& shared,
@@ -108,14 +108,14 @@ void restore_from_replicas(const Plan& plan, ElasticShared& shared,
         "escalating to a disk restart");
   }
 
+  std::vector<std::vector<std::byte>> blobs;
+  blobs.reserve(static_cast<std::size_t>(old_n));
+  for (int s = 0; s < old_n; ++s) {
+    blobs.push_back(shared.replicas.blob(s, *step));
+  }
+  reshard_restore(blobs, trainer.model, trainer.adam, trainer.cursor, slot,
+                  nslots);
   if (plan.shrunk) {
-    std::vector<std::vector<std::byte>> blobs;
-    blobs.reserve(static_cast<std::size_t>(old_n));
-    for (int s = 0; s < old_n; ++s) {
-      blobs.push_back(shared.replicas.blob(s, *step));
-    }
-    reshard_restore(blobs, trainer.model, trainer.adam, trainer.cursor, slot,
-                    nslots);
     // The old-gz blobs cannot seed the new-gz buddy scheme: barrier until
     // every survivor has read its inputs, reset the store to the new slot
     // count, then re-seed it with fresh snapshots so a second failure can
@@ -123,10 +123,8 @@ void restore_from_replicas(const Plan& plan, ElasticShared& shared,
     active.barrier();
     if (slot == 0) shared.replicas.reset(nslots);
     active.barrier();
-    push_replica(shared, trainer, result, result_mutex);
-  } else {
-    decode_train_snapshot(shared.replicas.blob(slot, *step), trainer.model,
-                          trainer.adam, trainer.cursor, slot, nslots);
+    push_replica(shared, trainer, trainer.snapshot_image(), result,
+                 result_mutex);
   }
 
   std::lock_guard<std::mutex> lock(result_mutex);
@@ -201,7 +199,8 @@ Segment run_epoch_segment(const ResilientTrainConfig& config,
         // Baseline replica push: from the very first step every slot's
         // snapshot lives in a buddy's RAM, so the first failure can already
         // recover without touching disk.
-        push_replica(shared, *trainer, result, result_mutex);
+        push_replica(shared, *trainer, trainer->snapshot_image(), result,
+                     result_mutex);
       } else {
         AXONN_CHECK(plan && plan->epoch == epoch);
         restore_from_replicas(*plan, shared, *active, *trainer, result,
@@ -215,10 +214,10 @@ Segment run_epoch_segment(const ResilientTrainConfig& config,
         just_recovered = false;
         if (slot == 0) record_mttr(world, result, result_mutex);
       };
-      // RAM tier first (the recovery path); the loop then writes the disk
-      // tier (the full-restart fallback).
-      hooks.at_checkpoint = [&] {
-        push_replica(shared, *trainer, result, result_mutex);
+      // RAM tier first (the recovery path); the loop then writes the same
+      // image to the disk tier (the full-restart fallback).
+      hooks.at_checkpoint = [&](std::span<const std::byte> image) {
+        push_replica(shared, *trainer, image, result, result_mutex);
       };
       trainer->run(hooks, result, result_mutex);
       outcome = Segment::kDone;
@@ -295,7 +294,6 @@ void run_elastic_attempt(const ResilientTrainConfig& config,
   options.elastic = true;
   options.spare_ranks = config.elastic.spares;
   options.heartbeat_timeout = config.elastic.heartbeat_timeout;
-  options.allow_shrink = config.elastic.allow_shrink;
   options.min_active = config.elastic.min_ranks;
 
   comm::ThreadWorld world(total, options);

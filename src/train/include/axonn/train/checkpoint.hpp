@@ -81,26 +81,25 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
-/// A checkpoint under construction: named CRC-protected sections, written
-/// atomically.
+/// A checkpoint under construction: named CRC-protected sections.
 class CheckpointWriter {
  public:
   void add_section(const std::string& name, std::vector<std::byte> payload);
 
-  /// Serializes the checkpoint into a memory image — byte-identical to the
-  /// file write() produces. This is the payload a rank pushes to its buddy's
-  /// in-memory replica store (DESIGN.md §11): the CRC framing travels with
-  /// the bytes, so a replica validates exactly like an on-disk file.
+  /// Serializes the checkpoint into its image: the bytes of the file and of
+  /// a buddy's in-memory replica (DESIGN.md §11) alike. The CRC framing
+  /// travels with the bytes, so a replica validates exactly like a file.
   std::vector<std::byte> to_bytes() const;
-
-  /// Writes to `path` atomically: the bytes land in `path + ".tmp"` first
-  /// and are renamed over `path` only once complete, so readers never see a
-  /// half-written checkpoint under the final name.
-  void write(const std::string& path) const;
 
  private:
   std::vector<std::pair<std::string, std::vector<std::byte>>> sections_;
 };
+
+/// Writes a checkpoint image to `path` atomically: the bytes land in
+/// `path + ".tmp"` first and are renamed over `path` only once complete, so
+/// readers never see a half-written checkpoint under the final name.
+void write_checkpoint_file(const std::string& path,
+                           std::span<const std::byte> image);
 
 /// A parsed-and-verified checkpoint. The constructors validate the magic,
 /// version and every section CRC, throwing CheckpointError otherwise.
@@ -108,10 +107,11 @@ class CheckpointReader {
  public:
   explicit CheckpointReader(const std::string& path);
   /// Parses an in-memory image (CheckpointWriter::to_bytes(), or a buddy's
-  /// replica blob) with identical validation.
+  /// replica blob) with identical validation. Every length field is checked
+  /// against the bytes left before anything is sized from it.
   explicit CheckpointReader(std::span<const std::byte> bytes);
 
-  bool has_section(const std::string& name) const;
+  /// The named section's payload; throws CheckpointError when it is absent.
   std::span<const std::byte> section(const std::string& name) const;
 
  private:
@@ -136,25 +136,19 @@ struct TrainCursor {
   Rng rng{0};                  ///< data-order RNG (uniform draws only)
 };
 
-/// Serializes model weights, Adam moments + step count, and the cursor.
-void save_checkpoint(const std::string& path, GPTModel& model, Adam& adam,
-                     const TrainCursor& cursor, int rank, int world_size);
-
-/// Restores state saved by save_checkpoint into live objects; the model and
-/// optimizer must already be constructed with the same architecture, rank
-/// and world size. Throws CheckpointError on any mismatch.
-void load_checkpoint(const std::string& path, GPTModel& model, Adam& adam,
-                     TrainCursor& cursor, int rank, int world_size);
-
-/// The in-memory twins of save/load_checkpoint: identical bytes, no file.
-/// encode produces the blob a rank hands to its buddy's replica store;
-/// decode restores from such a blob (validating every section CRC first).
+/// Serializes model weights, Adam moments + step count, and the cursor into
+/// one checkpoint image: the bytes a rank writes to its checkpoint file and
+/// pushes to its buddy's replica store.
 std::vector<std::byte> encode_train_snapshot(GPTModel& model, Adam& adam,
                                              const TrainCursor& cursor,
                                              int rank, int world_size);
-void decode_train_snapshot(std::span<const std::byte> bytes, GPTModel& model,
-                           Adam& adam, TrainCursor& cursor, int rank,
-                           int world_size);
+
+/// Restores the checkpoint file `path` (an encode_train_snapshot image) into
+/// live objects; the model and optimizer must already be constructed with
+/// the same architecture, rank and world size. Throws CheckpointError on any
+/// mismatch. Replica images restore through reshard_restore (replica.hpp).
+void load_checkpoint(const std::string& path, GPTModel& model, Adam& adam,
+                     TrainCursor& cursor, int rank, int world_size);
 
 /// A training snapshot's "meta" section: the writer's rank and world size
 /// and the optimizer layout it saved.

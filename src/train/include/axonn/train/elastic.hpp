@@ -9,6 +9,8 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
+#include <vector>
 
 #include "axonn/comm/chaos_comm.hpp"
 #include "axonn/comm/thread_comm.hpp"
@@ -29,8 +31,9 @@ class RankTrainer {
   /// Elastic-only work at two fixed points of run(); the disk-restart driver
   /// passes none.
   struct Hooks {
-    std::function<void()> after_step;     ///< after each completed step
-    std::function<void()> at_checkpoint;  ///< before each disk checkpoint
+    std::function<void()> after_step;  ///< after each completed step
+    /// With each checkpoint step's image, before its file is written.
+    std::function<void(std::span<const std::byte>)> at_checkpoint;
   };
 
   /// Builds the stack on `raw` with `shape` (whose total is raw.size()).
@@ -43,6 +46,9 @@ class RankTrainer {
   /// Loads this rank's file of the newest step whose every rank file
   /// validates; leaves the fresh state alone when there is none.
   void restore_from_disk();
+
+  /// This rank's snapshot image (encode_train_snapshot) of the live state.
+  std::vector<std::byte> snapshot_image();
 
   /// Trains to config.total_steps — journal, batch, train_step, sentinel,
   /// Adam, cursor, telemetry fold, checkpoint — then evaluates the fixed

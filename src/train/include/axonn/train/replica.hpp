@@ -7,10 +7,11 @@
 // parallel filesystem is itself a failure domain (stale snapshot, lost
 // files), so the elastic layer adds a second, storage-free tier: every
 // `checkpoint_every` steps each active slot pushes its CRC-framed snapshot
-// (CheckpointWriter::to_bytes() — byte-identical to the on-disk format) to a
-// buddy slot's memory. Recovery then restores from RAM: a swapped-in spare
-// decodes the dead slot's blob from the buddy that holds it, and survivors
-// decode their own — no disk read on the recovery path at all.
+// (the encode_train_snapshot image it also writes to disk) to a buddy
+// slot's memory. Recovery then restores from RAM: every rank of the new
+// world cuts its state out of all slots' blobs with reshard_restore — after
+// a spare swap that cut is exactly its slot's own blob, after a shrink it
+// re-shards — with no disk read on the recovery path at all.
 //
 // The store keeps a two-deep history per slot. Pushes are not atomic across
 // ranks: a crash *during* the push wave leaves some slots at step S and
@@ -45,8 +46,6 @@ class ReplicaStore {
  public:
   explicit ReplicaStore(int slots);
 
-  int slots() const;
-
   /// The buddy (holder) of `slot`'s pushed copy.
   static int buddy_slot(int slot, int slots) {
     return (slot + 1) % slots;
@@ -56,44 +55,40 @@ class ReplicaStore {
   /// old-gz blobs cannot seed a new-gz buddy scheme).
   void reset(int slots);
 
-  /// Stores `blob` as slot `slot`'s snapshot at `step`, keeping at most the
-  /// two newest steps per slot.
-  void push(int slot, std::uint64_t step, std::vector<std::byte> blob);
+  /// Stores a copy of `blob` as slot `slot`'s snapshot at `step`, keeping at
+  /// most the two newest steps per slot.
+  void push(int slot, std::uint64_t step, std::span<const std::byte> blob);
 
   /// Newest step every slot holds a blob for, or nullopt if some slot has
   /// no blob at the common step (empty store, or more than one torn wave).
   std::optional<std::uint64_t> common_step() const;
 
-  bool has(int slot, std::uint64_t step) const;
-
   /// Copy of slot `slot`'s blob at `step`; throws CheckpointError if absent.
   std::vector<std::byte> blob(int slot, std::uint64_t step) const;
-
-  /// Total pushes accepted (telemetry / tests).
-  std::uint64_t pushes() const;
 
  private:
   struct Entry {
     std::uint64_t step = 0;
     // Retained replica blobs are the only checkpoint bytes that stay
     // resident, so they are charged to the journal arena tag; the transient
-    // encode/decode copies on the push/restore paths are not.
+    // image and restore copies are not.
     mem::TrackedVector<std::byte> bytes;
   };
 
   mutable std::mutex mutex_;
   std::vector<std::deque<Entry>> history_;  ///< per slot, newest last
-  std::uint64_t pushes_ = 0;
 };
 
 /// Rebuilds this rank's live state for a `new_world`-way grid from the full
 /// set of `old_blobs.size()`-way snapshot blobs taken at one step — the
-/// elastic shrink restore. Replicated tensors are taken from old slot 0;
-/// Z-sharded tensors (per GPTModel::parameter_specs()) are reassembled from
-/// every old slot's row chunk and re-cut for new rank `new_rank`. Adam step
-/// count and the cursor come from old slot 0 (the cursor is identical across
-/// ranks; the corpus re-partitions deterministically because document
-/// assignment is a pure function of cursor, rank and world size).
+/// elastic restore after a spare swap (same world size: the cut is the old
+/// slot's own shard) or a shrink. Replicated tensors are taken from old
+/// slot 0; Z-sharded tensors (per GPTModel::parameter_specs()) are
+/// reassembled from every old slot's row chunk and re-cut for new rank
+/// `new_rank`. Adam step count and the cursor come from old slot 0 (the
+/// cursor is identical across ranks; the corpus re-partitions
+/// deterministically because document assignment is a pure function of
+/// cursor, rank and world size).
 void reshard_restore(const std::vector<std::vector<std::byte>>& old_blobs,
                      GPTModel& model, Adam& adam, TrainCursor& cursor,
                      int new_rank, int new_world);

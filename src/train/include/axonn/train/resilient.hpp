@@ -49,7 +49,7 @@ struct ResilientTrainConfig {
   /// recovery never waits). Attempt k sleeps
   ///   min(cap, base << k) * jitter,   jitter in [0.5, 1.0)
   /// with cap = max(base, 2 s) and the jitter drawn deterministically from
-  /// (data_seed, k) so runs are reproducible. base == 0 keeps the legacy
+  /// (a fixed seed, k) so runs are reproducible. base == 0 keeps the legacy
   /// immediate-respawn behavior. Waits are counted in ResilientTrainResult
   /// and the metrics registry (resilient.backoff_waits /
   /// resilient.backoff_wait_ms).
@@ -70,9 +70,8 @@ struct ResilientTrainConfig {
     /// Heartbeat staleness threshold for hang detection (0 = crash-only).
     /// Keep generous under sanitizers (TSan slows ranks ~5-15x).
     std::chrono::milliseconds heartbeat_timeout{0};
-    /// Shrink gz to the survivor count when no spare is available.
-    bool allow_shrink = true;
-    /// Smallest world the shrink path may produce.
+    /// Smallest world the shrink path (gz shrinks to the survivor count
+    /// when no spare is available) may produce.
     int min_ranks = 1;
   };
   ElasticConfig elastic;
@@ -102,9 +101,6 @@ struct ResilientTrainConfig {
   /// Each healthy step folds a StepTelemetry across ranks; rank 0 streams it
   /// to the metrics session and feeds the StragglerMonitor.
   obs::StragglerMonitor::Config straggler;
-
-  /// Seed for the data-order RNG (part of the checkpointed cursor).
-  std::uint64_t data_seed = 0xDA7A0DD5ULL;
 };
 
 struct ResilientTrainResult {

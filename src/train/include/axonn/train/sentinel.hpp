@@ -8,9 +8,10 @@
 // delivery, an ALU fault in a non-GEMM op, a bad reduction on one rank. The
 // sentinel closes that gap at step granularity: every step it journals the
 // full pre-step training state in memory (weights, Adam moments + counter,
-// data cursor), runs the step, and then checks the step's *outputs* — the
-// loss and the synchronized gradients — for NaN/inf and for a gradient-norm
-// spike against a running EMA. The per-rank verdict is reduced to a world
+// data cursor) into one snapshot it overwrites in place, runs the step, and
+// then checks the step's *outputs* — the loss and the synchronized
+// gradients — for NaN/inf and for a gradient-norm spike against a running
+// EMA. The per-rank verdict is reduced to a world
 // consensus with one small all_reduce, so every rank agrees on health and
 // acts in lockstep (an unhealthy step on one rank is unhealthy everywhere —
 // gradients are already synchronized, so a corrupted contribution has
@@ -27,7 +28,6 @@
 // kOff disables the sentinel (and its journal) entirely.
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "axonn/base/error.hpp"
@@ -60,8 +60,6 @@ struct SentinelConfig {
   /// spike threshold.
   int warmup_steps = 2;
 
-  /// Journal ring depth: how many pre-step snapshots stay in memory.
-  int journal_depth = 2;
   /// Consecutive failed replays of one step before escalating.
   int max_replays = 2;
 };
@@ -78,14 +76,14 @@ class TrainingSentinel {
   bool enabled() const { return mode_ != integrity::IntegrityMode::kOff; }
 
   /// Snapshots the pre-step state (weights, Adam moments + step counter,
-  /// cursor) into the journal ring. Call before every train_step. No-op when
-  /// disabled. Collective-free.
+  /// cursor) over the previous snapshot, reusing its storage. Call before
+  /// every train_step. No-op when disabled. Collective-free.
   void journal(const TrainCursor& cursor);
 
   /// Post-step health check + consensus (one all_reduce over `world`; every
   /// rank must call with its own loss). Healthy: updates the EMA, returns
   /// true. Unhealthy: kDetect throws SdcEscalationError; kHeal rolls back to
-  /// the newest journal snapshot (restoring `cursor`), counts a replay, and
+  /// the journal snapshot (restoring `cursor`), counts a replay, and
   /// returns false — the caller re-runs the step. Escalates after
   /// max_replays consecutive failures of the same step.
   bool check_step(float loss, TrainCursor& cursor);
@@ -111,7 +109,7 @@ class TrainingSentinel {
   GPTModel& model_;
   Adam& adam_;
 
-  std::deque<Snapshot> journal_;
+  Snapshot journal_;  ///< empty until the first journal() call
   double ema_ = 0.0;
   int healthy_steps_ = 0;  ///< healthy observations so far (arms the EMA)
   std::uint64_t replays_ = 0;

@@ -9,11 +9,6 @@ namespace axonn::train {
 
 ReplicaStore::ReplicaStore(int slots) { reset(slots); }
 
-int ReplicaStore::slots() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return static_cast<int>(history_.size());
-}
-
 void ReplicaStore::reset(int slots) {
   AXONN_CHECK_MSG(slots >= 1, "ReplicaStore needs at least one slot");
   std::lock_guard<std::mutex> lock(mutex_);
@@ -21,7 +16,7 @@ void ReplicaStore::reset(int slots) {
 }
 
 void ReplicaStore::push(int slot, std::uint64_t step,
-                        std::vector<std::byte> blob) {
+                        std::span<const std::byte> blob) {
   std::lock_guard<std::mutex> lock(mutex_);
   AXONN_CHECK(slot >= 0 && slot < static_cast<int>(history_.size()));
   const mem::ArenaScope scope(mem::Tag::kJournal);
@@ -33,7 +28,6 @@ void ReplicaStore::push(int slot, std::uint64_t step,
     h.push_back({step, {blob.begin(), blob.end()}});
     while (h.size() > 2) h.pop_front();
   }
-  ++pushes_;
 }
 
 std::optional<std::uint64_t> ReplicaStore::common_step() const {
@@ -53,14 +47,6 @@ std::optional<std::uint64_t> ReplicaStore::common_step() const {
   return common;
 }
 
-bool ReplicaStore::has(int slot, std::uint64_t step) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (slot < 0 || slot >= static_cast<int>(history_.size())) return false;
-  const auto& h = history_[static_cast<std::size_t>(slot)];
-  return std::any_of(h.begin(), h.end(),
-                     [&](const Entry& e) { return e.step == step; });
-}
-
 std::vector<std::byte> ReplicaStore::blob(int slot, std::uint64_t step) const {
   std::lock_guard<std::mutex> lock(mutex_);
   AXONN_CHECK(slot >= 0 && slot < static_cast<int>(history_.size()));
@@ -73,13 +59,8 @@ std::vector<std::byte> ReplicaStore::blob(int slot, std::uint64_t step) const {
                         std::to_string(step));
 }
 
-std::uint64_t ReplicaStore::pushes() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return pushes_;
-}
-
 // ---------------------------------------------------------------------------
-// Shrink restore
+// Replica restore
 // ---------------------------------------------------------------------------
 
 void reshard_restore(const std::vector<std::vector<std::byte>>& old_blobs,

@@ -18,6 +18,10 @@ namespace {
 /// hard-down dependency is retried every few seconds, not minutes.
 constexpr std::uint64_t kRestartBackoffCapMs = 2000;
 
+/// Seed of the data-order RNG (part of the checkpointed cursor) and of the
+/// restart-backoff jitter.
+constexpr std::uint64_t kDataSeed = 0xDA7A0DD5ULL;
+
 std::unique_ptr<comm::ChaosComm> chaos_for_world(
     const ResilientTrainConfig& config, bool first_world,
     comm::Communicator& raw) {
@@ -64,9 +68,9 @@ void backoff_before_restart(const ResilientTrainConfig& config, int attempt,
   std::uint64_t raw = base;
   for (int i = 0; i < attempt && raw < cap; ++i) raw <<= 1;
   raw = std::min(raw, cap);
-  // Jitter in [0.5, 1.0), a pure function of (data_seed, attempt): spreads
+  // Jitter in [0.5, 1.0), a pure function of (kDataSeed, attempt): spreads
   // restarts across a fleet while keeping any one run reproducible.
-  Rng rng(config.data_seed ^
+  Rng rng(kDataSeed ^
           (0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(attempt + 1)));
   const double jitter =
       0.5 + 0.5 * static_cast<double>(rng.uniform_int(1u << 20)) /
@@ -121,7 +125,7 @@ RankTrainer::RankTrainer(const ResilientTrainConfig& config, bool first_world,
       // because it delays the *instrumented* step window.
       telemetry_(raw, &grid_) {
   model.register_params(adam);
-  cursor.rng = Rng(config.data_seed);
+  cursor.rng = Rng(kDataSeed);
 }
 
 std::string RankTrainer::checkpoint_path(std::uint64_t step) const {
@@ -142,6 +146,10 @@ void RankTrainer::restore_from_disk() {
     AXONN_LOG_INFO << "resilient: restored step " << step << " from "
                    << config_.checkpoint_dir;
   }
+}
+
+std::vector<std::byte> RankTrainer::snapshot_image() {
+  return encode_train_snapshot(model, adam, cursor, rank, world_size);
 }
 
 void RankTrainer::run(const Hooks& hooks, ResilientTrainResult& result,
@@ -208,9 +216,11 @@ void RankTrainer::run(const Hooks& hooks, ResilientTrainResult& result,
     if (config_.checkpoint_every > 0 &&
         cursor.step % static_cast<std::uint64_t>(config_.checkpoint_every) ==
             0) {
-      if (hooks.at_checkpoint) hooks.at_checkpoint();
-      save_checkpoint(checkpoint_path(cursor.step), model, adam, cursor, rank,
-                      world_size);
+      // One image per checkpoint step, shared by the replica push (the
+      // elastic recovery path) and the file (the full-restart fallback).
+      const std::vector<std::byte> image = snapshot_image();
+      if (hooks.at_checkpoint) hooks.at_checkpoint(image);
+      write_checkpoint_file(checkpoint_path(cursor.step), image);
       std::lock_guard<std::mutex> lock(result_mutex);
       ++result.checkpoints_written;
     }

@@ -39,30 +39,26 @@ TrainingSentinel::TrainingSentinel(const SentinelConfig& config,
       world_(world),
       model_(model),
       adam_(adam) {
-  AXONN_CHECK(config_.journal_depth >= 1);
   AXONN_CHECK(config_.max_replays >= 0);
 }
 
 void TrainingSentinel::journal(const TrainCursor& cursor) {
   if (!enabled()) return;
-  // Snapshot copies (weights + both Adam moments, journal_depth deep) are
-  // the journal budget — ~3x the parameter bytes per retained snapshot.
+  // The snapshot (weights + both Adam moments, ~3x the parameter bytes) is
+  // the journal budget. Copy-assignment reuses each matrix's storage, so
+  // only the first call allocates.
   const mem::ArenaScope scope(mem::Tag::kJournal);
-  Snapshot snap;
-  snap.cursor = cursor;
-  snap.adam_step = adam_.step_count();
-  model_.for_each_parameter(
-      [&snap](Matrix& w) { snap.weights.push_back(w); });
-  snap.m.reserve(adam_.num_params());
-  snap.v.reserve(adam_.num_params());
+  journal_.weights.resize(adam_.num_params());
+  journal_.m.resize(adam_.num_params());
+  journal_.v.resize(adam_.num_params());
+  std::size_t i = 0;
+  model_.for_each_parameter([&](Matrix& w) { journal_.weights[i++] = w; });
   for (std::size_t p = 0; p < adam_.num_params(); ++p) {
-    snap.m.push_back(adam_.moment1(p));
-    snap.v.push_back(adam_.moment2(p));
+    journal_.m[p] = adam_.moment1(p);
+    journal_.v[p] = adam_.moment2(p);
   }
-  journal_.push_back(std::move(snap));
-  while (journal_.size() > static_cast<std::size_t>(config_.journal_depth)) {
-    journal_.pop_front();
-  }
+  journal_.adam_step = adam_.step_count();
+  journal_.cursor = cursor;
 }
 
 void TrainingSentinel::local_health(float loss, double out[2]) const {
@@ -129,7 +125,8 @@ bool TrainingSentinel::check_step(float loss, TrainCursor& cursor) {
                  << ", grad sumsq " << global_sumsq << ", ema " << ema_
                  << "), failure " << consecutive_failures_;
 
-  if (mode_ == integrity::IntegrityMode::kDetect || journal_.empty() ||
+  if (mode_ == integrity::IntegrityMode::kDetect ||
+      journal_.weights.empty() ||
       consecutive_failures_ > config_.max_replays) {
     throw SdcEscalationError(step, consecutive_failures_ - 1);
   }
@@ -144,11 +141,11 @@ void TrainingSentinel::rollback(TrainCursor& cursor) {
   if (obs::enabled()) {
     span.open(obs::kCatIntegrity, "step_replay");
   }
-  // Restore the newest snapshot without popping it — a replay may fail again
-  // and restore the same state. for_each_parameter hands out the FC shards
-  // via mutable_weight_shard(), which also invalidates the gathered-weight
-  // and packed-panel caches, so the replayed forward re-gathers honestly.
-  const Snapshot& snap = journal_.back();
+  // The snapshot stays as it is — a replay may fail again and restore the
+  // same state. for_each_parameter hands out the FC shards via
+  // mutable_weight_shard(), which also invalidates the gathered-weight cache,
+  // so the replayed forward re-gathers honestly.
+  const Snapshot& snap = journal_;
   std::size_t i = 0;
   model_.for_each_parameter([&](Matrix& w) { w = snap.weights[i++]; });
   for (std::size_t p = 0; p < adam_.num_params(); ++p) {

@@ -9,6 +9,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <latch>
+#include <memory>
 #include <mutex>
 #include <ostream>
 #include <thread>
@@ -272,32 +274,52 @@ TEST(RingCrcTest, PersistentCorruptionExhaustsRetriesAndEscalates) {
 TEST(RingCrcTest, WireScheduleIsDeterministicAcrossRuns) {
   // Same seed, same config => identical fault/retransmit counts — the
   // reproducibility contract the ChaosComm wire mode documents.
-  auto run_once = [] {
+  const auto wire_faults = [](int ranks, auto&& body) {
     WorldOptions options;
     options.ring_segment_elems = 8;
     options.ring_crc = IntegrityMode::kHeal;
     options.crc_max_retries = 16;
-    ChaosConfig chaos;
-    chaos.seed = 4242;
-    chaos.wire.corrupt_probability = 0.25;
     const CountersSnapshot before = integrity::counters().snapshot();
-    run_ranks(
-        3,
-        [&](Communicator& world) {
-          ChaosComm wrapped(world, chaos);
-          std::vector<float> buffer = contribution(world.rank(), 40);
-          for (int i = 0; i < 4; ++i) {
-            wrapped.all_reduce(buffer, ReduceOp::kSum);
-          }
-        },
-        options);
+    run_ranks(ranks, body, options);
     const CountersSnapshot after = integrity::counters().snapshot();
     return after.wire_faults_injected - before.wire_faults_injected;
   };
-  const std::uint64_t first = run_once();
-  const std::uint64_t second = run_once();
+  ChaosConfig chaos;
+  chaos.seed = 4242;
+  chaos.wire.corrupt_probability = 0.25;
+
+  const auto world_run = [&](Communicator& world) {
+    ChaosComm wrapped(world, chaos);
+    std::vector<float> buffer = contribution(world.rank(), 40);
+    for (int i = 0; i < 4; ++i) wrapped.all_reduce(buffer, ReduceOp::kSum);
+  };
+  const std::uint64_t first = wire_faults(3, world_run);
+  const std::uint64_t second = wire_faults(3, world_run);
   EXPECT_GT(first, 0u);
   EXPECT_EQ(first, second);
+
+  // A two-colour split: ThreadWorld numbers sub-communicators in the order
+  // their ranks reach split(), so the ids of the two halves vary between
+  // runs. A throwaway split in one of the runs shifts them for certain
+  // ({1, 2} against {2, 3}); the draws must not notice.
+  const auto split_run = [&](bool throwaway) {
+    auto splits_sent = std::make_shared<std::latch>(4);
+    return [&chaos, throwaway, splits_sent](Communicator& world) {
+      if (throwaway) world.split(0, world.rank());
+      const auto half = world.split(world.rank() % 2, world.rank());
+      // Every rank has sent its split messages before any rank installs the
+      // world-wide wire schedule, and no traffic follows on the world
+      // communicator, whose sequence numbers the throwaway shifted.
+      splits_sent->arrive_and_wait();
+      ChaosComm wrapped(world, chaos);
+      std::vector<float> buffer = contribution(world.rank(), 40);
+      for (int i = 0; i < 4; ++i) half->all_reduce(buffer, ReduceOp::kSum);
+    };
+  };
+  const std::uint64_t split_first = wire_faults(4, split_run(false));
+  const std::uint64_t split_second = wire_faults(4, split_run(true));
+  EXPECT_GT(split_first, 0u);
+  EXPECT_EQ(split_first, split_second);
 }
 
 }  // namespace

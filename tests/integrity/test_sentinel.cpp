@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <limits>
 #include <ostream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -67,6 +68,17 @@ std::vector<Matrix> snapshot_weights(GPTModel& model) {
   std::vector<Matrix> weights;
   model.for_each_parameter([&](Matrix& w) { weights.push_back(w); });
   return weights;
+}
+
+/// Overwrites the first element of the first non-empty gradient.
+void poison_first_gradient(GPTModel& model, float value) {
+  bool first = true;
+  model.for_each_gradient([&](Matrix& g) {
+    if (first && g.rows() > 0) {
+      g(0, 0) = value;
+      first = false;
+    }
+  });
 }
 
 TEST(SentinelTest, OffModeIsInertAndJournalFree) {
@@ -128,13 +140,7 @@ TEST(SentinelTest, NonFiniteGradientRollsBackBitExact) {
     // must undo the weight update, the moments, and the step counter.
     adam.step();
     cursor.step = 1;
-    bool first = true;
-    model.for_each_gradient([&first](Matrix& g) {
-      if (first && g.rows() > 0) {
-        g(0, 0) = std::numeric_limits<float>::quiet_NaN();
-        first = false;
-      }
-    });
+    poison_first_gradient(model, std::numeric_limits<float>::quiet_NaN());
 
     EXPECT_FALSE(sentinel.check_step(loss, cursor));
     EXPECT_EQ(sentinel.replays(), 1u);
@@ -151,6 +157,59 @@ TEST(SentinelTest, NonFiniteGradientRollsBackBitExact) {
       EXPECT_EQ(after_weights[i].storage(), before_weights[i].storage());
     }
   });
+}
+
+TEST(SentinelTest, ConsecutiveFailingStepsReplayBitIdentical) {
+  // Steps 1 and 2 each get a non-finite gradient on their first try. Both
+  // replay from the one snapshot the journal overwrites in place, so step
+  // 2's journal follows step 1's rollback and replay, and the run must end
+  // on the clean run's weights and Adam moments, bit for bit.
+  SentinelConfig config;
+  config.mode = IntegrityMode::kHeal;
+  // Returns the final weights, then the first and second Adam moments.
+  const auto train = [&config](std::set<std::uint64_t> poisoned) {
+    std::vector<Matrix> state;
+    with_training_stack(config, [&](GPTModel& model, Adam& adam,
+                                    TrainingSentinel& sentinel,
+                                    const BucketCorpus& corpus) {
+      const std::size_t expected_replays = poisoned.size();
+      TrainCursor cursor;
+      while (cursor.step < 4) {
+        const std::uint64_t step = cursor.step;
+        sentinel.journal(cursor);
+        model.zero_grad();
+        const float loss =
+            model.train_step(batch_for(corpus, cursor.next_doc));
+        if (poisoned.erase(step) > 0) {
+          poison_first_gradient(model,
+                                std::numeric_limits<float>::quiet_NaN());
+        }
+        if (!sentinel.check_step(loss, cursor)) {
+          EXPECT_EQ(cursor.step, step);  // back to this step, not an older
+          continue;
+        }
+        adam.step();
+        cursor.step += 1;
+        cursor.next_doc += 2;
+      }
+      EXPECT_EQ(sentinel.replays(), expected_replays);
+      state = snapshot_weights(model);
+      for (std::size_t p = 0; p < adam.num_params(); ++p) {
+        state.push_back(adam.moment1(p));
+      }
+      for (std::size_t p = 0; p < adam.num_params(); ++p) {
+        state.push_back(adam.moment2(p));
+      }
+    });
+    return state;
+  };
+
+  const std::vector<Matrix> clean = train({});
+  const std::vector<Matrix> healed = train({1, 2});
+  ASSERT_EQ(healed.size(), clean.size());
+  for (std::size_t i = 0; i < clean.size(); ++i) {
+    EXPECT_EQ(healed[i].storage(), clean[i].storage()) << "tensor " << i;
+  }
 }
 
 TEST(SentinelTest, GradientSpikeTriggersAfterWarmup) {
@@ -193,13 +252,7 @@ TEST(SentinelTest, DetectModeEscalatesImmediately) {
     sentinel.journal(cursor);
     model.zero_grad();
     const float loss = model.train_step(batch_for(corpus, 0));
-    bool first = true;
-    model.for_each_gradient([&first](Matrix& g) {
-      if (first && g.rows() > 0) {
-        g(0, 0) = std::numeric_limits<float>::infinity();
-        first = false;
-      }
-    });
+    poison_first_gradient(model, std::numeric_limits<float>::infinity());
     EXPECT_THROW(sentinel.check_step(loss, cursor), SdcEscalationError);
   });
 }
@@ -216,13 +269,7 @@ TEST(SentinelTest, ReplayBudgetExhaustionEscalates) {
     auto poisoned_step = [&] {
       model.zero_grad();
       const float loss = model.train_step(batch_for(corpus, 0));
-      bool first = true;
-      model.for_each_gradient([&first](Matrix& g) {
-        if (first && g.rows() > 0) {
-          g(0, 0) = std::numeric_limits<float>::quiet_NaN();
-          first = false;
-        }
-      });
+      poison_first_gradient(model, std::numeric_limits<float>::quiet_NaN());
       return loss;
     };
     sentinel.journal(cursor);

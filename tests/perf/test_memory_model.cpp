@@ -75,16 +75,13 @@ TEST(PredictMemoryTest, KnobsToggleTheirTags) {
   EXPECT_GT(predict_memory(config).of(mem::Tag::kWeights),
             base.of(mem::Tag::kWeights));
 
-  // The journal deque peaks at depth + 1 snapshots mid-push, so depth 2 vs
-  // depth 1 differ by exactly one snapshot = one (depth 1 vs depth 0) gap.
-  config.journal_depth = 1;
-  const double j1 = predict_memory(config).of(mem::Tag::kJournal);
-  config.journal_depth = 2;
-  const double j2 = predict_memory(config).of(mem::Tag::kJournal);
-  EXPECT_GT(j1, 0.0);
-  EXPECT_DOUBLE_EQ(j2 - j1, j1 / 2.0);
+  // The sentinel's one snapshot holds the weights and both Adam moments:
+  // 1.5x the Adam tag.
+  config.sentinel = true;
+  EXPECT_DOUBLE_EQ(predict_memory(config).of(mem::Tag::kJournal),
+                   1.5 * base.of(mem::Tag::kAdam));
 
-  config.journal_depth = 0;
+  config.sentinel = false;
   config.replica_slots = 2;
   EXPECT_GT(predict_memory(config).of(mem::Tag::kJournal), 0.0);
 }
@@ -185,7 +182,6 @@ TEST(MemoryModelVsRuntimeTest, TinyGPTWithin10Percent) {
 
     train::SentinelConfig sentinel_config;
     sentinel_config.mode = integrity::IntegrityMode::kHeal;
-    sentinel_config.journal_depth = 2;
     train::TrainingSentinel sentinel(sentinel_config, world, model, adam);
     ASSERT_TRUE(sentinel.enabled());
 
@@ -211,7 +207,7 @@ TEST(MemoryModelVsRuntimeTest, TinyGPTWithin10Percent) {
     };
 
     // Warm up until every steady-state allocation exists (caches, packed
-    // panels, rs buffers, a full journal ring), then open the window.
+    // panels, rs buffers, the journal snapshot), then open the window.
     step();
     step();
 
@@ -231,7 +227,7 @@ TEST(MemoryModelVsRuntimeTest, TinyGPTWithin10Percent) {
     config.input_len = static_cast<int>(kLen) - 1;
     config.overlap_collectives = model_config.overlap_collectives;
     config.gemm_lanes = 1;
-    config.journal_depth = sentinel_config.journal_depth;
+    config.sentinel = true;
     const auto result = checker.finish(predict_memory(config));
 
     for (const auto& tr : result.tags) {

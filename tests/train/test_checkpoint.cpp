@@ -31,6 +31,14 @@ std::vector<std::byte> small_payload() {
   return w.take();
 }
 
+/// A one-section ("alpha") checkpoint file for `step` and `rank` in `dir`.
+void write_valid(const fs::path& dir, std::uint64_t step, int rank) {
+  CheckpointWriter writer;
+  writer.add_section("alpha", small_payload());
+  write_checkpoint_file((dir / checkpoint_filename(step, rank)).string(),
+                        writer.to_bytes());
+}
+
 TEST(ByteIoTest, RoundTripAndOverReadThrows) {
   auto bytes = small_payload();
   ByteReader r(bytes);
@@ -53,26 +61,23 @@ TEST(CheckpointFileTest, WriteReadRoundTrip) {
   ByteWriter bw;
   bw.put_u32(0xDEADBEEF);
   writer.add_section("beta", bw.take());
-  writer.write(path);
+  write_checkpoint_file(path, writer.to_bytes());
 
   EXPECT_TRUE(validate_checkpoint(path));
   // The atomic-write staging file must not survive a successful commit.
   EXPECT_FALSE(fs::exists(path + ".tmp"));
 
   CheckpointReader reader(path);
-  EXPECT_TRUE(reader.has_section("alpha"));
-  EXPECT_TRUE(reader.has_section("beta"));
-  EXPECT_FALSE(reader.has_section("gamma"));
+  EXPECT_EQ(reader.section("alpha").size(), small_payload().size());
+  EXPECT_THROW(reader.section("gamma"), CheckpointError);
   ByteReader r(reader.section("beta"));
   EXPECT_EQ(r.get_u32(), 0xDEADBEEFu);
 }
 
 TEST(CheckpointFileTest, CorruptionIsDetected) {
   const fs::path dir = scratch_dir("corrupt");
-  const std::string path = (dir / "test.axck").string();
-  CheckpointWriter writer;
-  writer.add_section("alpha", small_payload());
-  writer.write(path);
+  write_valid(dir, 0, 0);
+  const std::string path = (dir / checkpoint_filename(0, 0)).string();
 
   // Flip one byte in the payload (last byte of the file).
   const auto size = fs::file_size(path);
@@ -91,10 +96,8 @@ TEST(CheckpointFileTest, CorruptionIsDetected) {
 
 TEST(CheckpointFileTest, TruncationIsDetected) {
   const fs::path dir = scratch_dir("truncate");
-  const std::string path = (dir / "test.axck").string();
-  CheckpointWriter writer;
-  writer.add_section("alpha", small_payload());
-  writer.write(path);
+  write_valid(dir, 0, 0);
+  const std::string path = (dir / checkpoint_filename(0, 0)).string();
 
   fs::resize_file(path, fs::file_size(path) / 2);
   EXPECT_FALSE(validate_checkpoint(path));
@@ -174,8 +177,9 @@ TEST(CheckpointStateTest, RestoreIsBitExact) {
             cursor.next_doc += 2;
             (void)cursor.rng.uniform_int(1000);  // advance the RNG
           }
-          save_checkpoint(path, model, adam, cursor, /*rank=*/0,
-                          /*world_size=*/1);
+          write_checkpoint_file(
+              path, encode_train_snapshot(model, adam, cursor, /*rank=*/0,
+                                          /*world_size=*/1));
           saved_loss = model.evaluate_loss(batch);
           saved_draw = cursor.rng.uniform_int(1u << 20);
         },
@@ -216,7 +220,9 @@ TEST(CheckpointStateTest, WorldShapeMismatchRejected) {
     Adam adam;
     model.register_params(adam);
     TrainCursor cursor;
-    save_checkpoint(path, model, adam, cursor, /*rank=*/0, /*world_size=*/1);
+    write_checkpoint_file(path, encode_train_snapshot(model, adam, cursor,
+                                                      /*rank=*/0,
+                                                      /*world_size=*/1));
     // Restoring a 1-rank snapshot into a claimed 2-rank world must fail:
     // with sharded FC weights the bytes would silently be wrong otherwise.
     EXPECT_THROW(
@@ -229,15 +235,8 @@ TEST(CheckpointStateTest, WorldShapeMismatchRejected) {
 TEST(FindLatestValidStepTest, SkipsTornAndIncompleteSteps) {
   const fs::path dir = scratch_dir("latest");
   EXPECT_EQ(find_latest_valid_step(dir.string(), 1), -1);
-
-  auto write_valid = [&dir](std::uint64_t step, int rank) {
-    CheckpointWriter writer;
-    writer.add_section("alpha", small_payload());
-    writer.write((dir / checkpoint_filename(step, rank)).string());
-  };
-
-  write_valid(4, 0);
-  write_valid(8, 0);
+  write_valid(dir, 4, 0);
+  write_valid(dir, 8, 0);
   EXPECT_EQ(find_latest_valid_step(dir.string(), 1), 8);
 
   // Newest step is torn: garbage bytes under a valid checkpoint name. The
@@ -247,10 +246,30 @@ TEST(FindLatestValidStepTest, SkipsTornAndIncompleteSteps) {
   EXPECT_EQ(find_latest_valid_step(dir.string(), 1), 8);
 
   // A step missing one rank's file is incomplete, not restorable.
-  write_valid(16, 0);
+  write_valid(dir, 16, 0);
   EXPECT_EQ(find_latest_valid_step(dir.string(), 2), -1);
-  write_valid(16, 1);
+  write_valid(dir, 16, 1);
   EXPECT_EQ(find_latest_valid_step(dir.string(), 2), 16);
+}
+
+TEST(FindLatestValidStepTest, OversizedLengthFieldFallsBackToOlderStep) {
+  // The CRCs cover payloads only, so a length field with a flipped high bit
+  // must fail the bounds check before it sizes an allocation, and the scan
+  // must skip the file like any torn one.
+  const fs::path dir = scratch_dir("length");
+  write_valid(dir, 4, 0);
+  write_valid(dir, 8, 0);
+  const std::string newest = (dir / checkpoint_filename(8, 0)).string();
+  {
+    // magic | version | section count | name_len | "alpha" | payload_len
+    std::fstream f(newest, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(4 + 4 + 4 + 4 + 5);
+    const std::uint64_t huge = 1ull << 62;
+    f.write(reinterpret_cast<const char*>(&huge), sizeof(huge));
+  }
+  EXPECT_FALSE(validate_checkpoint(newest));
+  EXPECT_THROW(CheckpointReader reader(newest), CheckpointError);
+  EXPECT_EQ(find_latest_valid_step(dir.string(), 1), 4);
 }
 
 TEST(FindLatestValidStepTest, MixedValidityDirectoryFallsBackPerRankSet) {
@@ -258,18 +277,12 @@ TEST(FindLatestValidStepTest, MixedValidityDirectoryFallsBackPerRankSet) {
   // restorable step is the newest one where *every* rank's file validates —
   // one rank's corruption poisons the whole step, not just that rank.
   const fs::path dir = scratch_dir("mixed");
-  auto write_valid = [&dir](std::uint64_t step, int rank) {
-    CheckpointWriter writer;
-    writer.add_section("alpha", small_payload());
-    writer.write((dir / checkpoint_filename(step, rank)).string());
-  };
-
-  write_valid(4, 0);
-  write_valid(4, 1);
-  write_valid(8, 0);
-  write_valid(8, 1);
-  write_valid(12, 0);
-  write_valid(12, 1);
+  write_valid(dir, 4, 0);
+  write_valid(dir, 4, 1);
+  write_valid(dir, 8, 0);
+  write_valid(dir, 8, 1);
+  write_valid(dir, 12, 0);
+  write_valid(dir, 12, 1);
   EXPECT_EQ(find_latest_valid_step(dir.string(), 2), 12);
 
   // Corrupt rank 1's newest file in place (flip a payload byte): rank 0's
@@ -283,12 +296,12 @@ TEST(FindLatestValidStepTest, MixedValidityDirectoryFallsBackPerRankSet) {
   EXPECT_EQ(find_latest_valid_step(dir.string(), 2), 8);
 
   // A newer step with only one rank present does not change the verdict.
-  write_valid(16, 0);
+  write_valid(dir, 16, 0);
   EXPECT_EQ(find_latest_valid_step(dir.string(), 2), 8);
 
   // Completing step 16 on rank 1 makes it the newest fully-valid step even
   // though step 12 below it is still half-corrupt.
-  write_valid(16, 1);
+  write_valid(dir, 16, 1);
   EXPECT_EQ(find_latest_valid_step(dir.string(), 2), 16);
 }
 

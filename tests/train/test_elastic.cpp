@@ -197,10 +197,10 @@ TEST(ReplicaStoreTest, BuddyMappingAndCommonStep) {
   EXPECT_EQ(ReplicaStore::buddy_slot(2, 3), 0);
 
   ReplicaStore store(3);
-  EXPECT_EQ(store.slots(), 3);
   EXPECT_FALSE(store.common_step().has_value());
 
   const std::vector<std::byte> blob{std::byte{0xAB}};
+  EXPECT_THROW(store.push(3, 1, blob), Error);  // three slots: 0, 1, 2
   for (int s = 0; s < 3; ++s) store.push(s, 1, blob);
   ASSERT_TRUE(store.common_step().has_value());
   EXPECT_EQ(*store.common_step(), 1u);
@@ -218,25 +218,25 @@ TEST(ReplicaStoreTest, BuddyMappingAndCommonStep) {
   store.push(0, 4, blob);
   EXPECT_FALSE(store.common_step().has_value());
 
-  EXPECT_TRUE(store.has(0, 4));
-  EXPECT_FALSE(store.has(0, 2));  // evicted by the two-deep history
-  EXPECT_THROW(store.blob(0, 2), CheckpointError);
+  EXPECT_EQ(store.blob(0, 4), blob);
+  EXPECT_THROW(store.blob(0, 2), CheckpointError);  // evicted
   EXPECT_EQ(store.blob(2, 2), blob);
 
   store.reset(2);
-  EXPECT_EQ(store.slots(), 2);
+  EXPECT_THROW(store.push(2, 5, blob), Error);  // two slots: 0, 1
   EXPECT_FALSE(store.common_step().has_value());
-  EXPECT_FALSE(store.has(0, 4));
+  EXPECT_THROW(store.blob(0, 4), CheckpointError);
 }
 
 TEST(ReplicaStoreTest, SameStepRepushReplacesInsteadOfEvicting) {
+  const std::vector<std::byte> one{std::byte{1}}, two{std::byte{2}},
+      three{std::byte{3}};
   ReplicaStore store(1);
-  store.push(0, 5, {std::byte{1}});
-  store.push(0, 6, {std::byte{2}});
-  store.push(0, 6, {std::byte{3}});  // replay of step 6 after a rollback
-  EXPECT_EQ(store.blob(0, 6), (std::vector<std::byte>{std::byte{3}}));
-  EXPECT_TRUE(store.has(0, 5));  // the replace did not evict the history
-  EXPECT_EQ(store.pushes(), 3u);
+  store.push(0, 5, one);
+  store.push(0, 6, two);
+  store.push(0, 6, three);  // replay of step 6 after a rollback
+  EXPECT_EQ(store.blob(0, 6), three);
+  EXPECT_EQ(store.blob(0, 5), one);  // the replace did not evict the history
 }
 
 TEST(ReshardRestoreTest, ShrunkWorldMatchesSavedModelBitExactly) {
