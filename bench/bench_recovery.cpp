@@ -58,7 +58,6 @@ train::ResilientTrainConfig base_config(const std::string& dir) {
 }
 
 void arm_crash(train::ResilientTrainConfig& config) {
-  config.enable_chaos = true;
   config.chaos.seed = 11;
   config.chaos.crash_rank = 1;
   config.chaos.crash_at_collective = 40;  // lands mid-run

@@ -106,7 +106,6 @@ int main(int argc, char** argv) {
     // Healed run: the full defense under a sustained per-segment wire fault
     // rate — every detection costs one NACK + retransmit on that edge.
     auto healed = full;
-    healed.enable_chaos = true;
     healed.chaos.seed = 99;
     healed.chaos.wire.corrupt_probability = 0.02;
     healed.crc_max_retries = 16;

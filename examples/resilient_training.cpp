@@ -66,7 +66,6 @@ int main(int argc, char** argv) try {
   // Chaos run: rank 2 crashes at its 120th collective, mid-training.
   config.checkpoint_dir = base + "/chaos";
   fs::remove_all(config.checkpoint_dir);
-  config.enable_chaos = true;
   config.chaos.crash_rank = 2;
   config.chaos.crash_at_collective = 120;
   const auto recovered = train::run_resilient_training(config);

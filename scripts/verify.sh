@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # One-command verification gate (ISSUE 5 satellite):
 #   1. tier-1: plain tree, full ctest (ROADMAP.md's recipe), then the
-#      elastic-recovery acceptance label (`ctest -L elastic`) on its own so
-#      a membership/epoch regression is named by the gate that owns it
+#      elastic-recovery acceptance label (`ctest -L elastic`) on its own,
+#      ten times over, so a membership/epoch regression is named by the gate
+#      that owns it and a recovery that depends on thread timing shows up
 #   2. ASan tree, `ctest -L integrity` (the SDC-defense suites), then
 #      `ctest -L isa` with AXONN_GEMM_ISA=portable (the GEMM dispatch layer
 #      pinned to its portable oracle tier)
@@ -48,8 +49,11 @@ cmake --build build -j "$jobs"
 # run serially (and get gated) in the bench stage below instead.
 ctest --test-dir build --output-on-failure -j "$jobs" -LE bench
 
-stage "tier-1: elastic-recovery acceptance (ctest -L elastic)"
-ctest --test-dir build -L elastic --output-on-failure -j "$jobs"
+stage "tier-1: elastic-recovery acceptance (ctest -L elastic, x10)"
+# Parallel and repeated: the suites load each other's rank threads, the
+# regime in which a recovery step picked by push arrival order used to flake.
+ctest --test-dir build -L elastic --output-on-failure -j "$jobs" \
+  --repeat until-fail:10
 
 stage "tier-1: memory observability (ctest -L mem)"
 # The arena ledger + the memory-model cross-validation (<= 10% per-tag gate

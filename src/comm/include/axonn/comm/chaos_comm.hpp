@@ -108,6 +108,13 @@ struct ChaosConfig {
   /// ranks (all_reduce / broadcast / all_gather) over the inner
   /// communicator; on mismatch every rank throws DataCorruptionError.
   bool verify_replicated_results = false;
+
+  /// True iff any fault or check above is switched on.
+  bool armed() const {
+    return crash_rank >= 0 || hang_rank >= 0 || slow_rank >= 0 ||
+           corrupt_probability > 0.0 || corrupt_once_rank >= 0 ||
+           wire.active() || verify_replicated_results;
+  }
 };
 
 struct FaultEvent {

@@ -22,7 +22,6 @@
 
 #include <array>
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "axonn/base/arena.hpp"
@@ -77,10 +76,11 @@ MemoryPrediction predict_memory(const MemoryModelConfig& config);
 ///
 /// begin() resets the per-tag HWMs to the current live bytes, so a window
 /// opened at a steady-state point measures "peak bytes while the window was
-/// open" per tag — the quantity predict_memory() models. Tags where both
-/// sides are < `floor_bytes` are reported but not checked (nothing to
-/// validate); a tag the model predicts as zero but that measured above the
-/// floor fails the check (the model is missing a subsystem).
+/// open" per tag — the quantity predict_memory() models. A checked tag
+/// passes within 10% relative error. Tags where both sides are below 64 KiB
+/// are reported but not checked (nothing to validate); a tag the model
+/// predicts as zero but that measured above that floor fails the check (the
+/// model is missing a subsystem).
 class MemoryModelChecker {
  public:
   struct TagResult {
@@ -101,10 +101,6 @@ class MemoryModelChecker {
     }
   };
 
-  explicit MemoryModelChecker(double tolerance = 0.10,
-                              double floor_bytes = 64.0 * 1024.0)
-      : tolerance_(tolerance), floor_bytes_(floor_bytes) {}
-
   /// Opens a measurement window: resets every tag's HWM to its live bytes.
   void begin();
   bool active() const { return active_; }
@@ -118,16 +114,8 @@ class MemoryModelChecker {
   const Result& last_result() const { return last_; }
 
  private:
-  double tolerance_;
-  double floor_bytes_;
   bool active_ = false;
   Result last_;
 };
-
-/// Appends one JSON line per tag ({"tag","predicted_bytes","measured_bytes",
-/// "rel_error","checked","ok"}) plus a trailing summary line to `path`.
-/// Returns false (and logs a warning) on I/O failure.
-bool append_memcheck_jsonl(const std::string& path,
-                           const MemoryModelChecker::Result& result);
 
 }  // namespace axonn::perf

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
+#include <string>
 
 #include "axonn/base/error.hpp"
 #include "axonn/base/log.hpp"
@@ -170,6 +170,11 @@ namespace {
 
 namespace metrics = obs::metrics;
 
+/// Largest relative error a checked tag may show.
+constexpr double kTolerance = 0.10;
+/// Tags below this many bytes on both sides are reported, not checked.
+constexpr double kFloorBytes = 64.0 * 1024.0;
+
 struct CheckGauges {
   metrics::Gauge predicted;
   metrics::Gauge measured;
@@ -221,8 +226,8 @@ MemoryModelChecker::Result MemoryModelChecker::finish(
                   : 0.0;
     // Tags with nothing on either side have nothing to validate; kUntagged
     // is ambient noise (metrics shards, registry strings) by construction.
-    tr.checked = tag != mem::Tag::kUntagged && denom >= floor_bytes_;
-    tr.ok = !tr.checked || tr.rel_error <= tolerance_;
+    tr.checked = tag != mem::Tag::kUntagged && denom >= kFloorBytes;
+    tr.ok = !tr.checked || tr.rel_error <= kTolerance;
     if (tr.checked) {
       result.worst_rel_error = std::max(result.worst_rel_error, tr.rel_error);
       if (!tr.ok) {
@@ -231,7 +236,7 @@ MemoryModelChecker::Result MemoryModelChecker::finish(
                        << mem::to_string(tag) << ": predicted "
                        << tr.predicted_bytes << " B, measured "
                        << tr.measured_bytes << " B (rel error " << tr.rel_error
-                       << " > " << tolerance_ << ")";
+                       << " > " << kTolerance << ")";
       }
     }
     const CheckGauges& g = check_gauges(tag);
@@ -241,25 +246,6 @@ MemoryModelChecker::Result MemoryModelChecker::finish(
   }
   last_ = result;
   return result;
-}
-
-bool append_memcheck_jsonl(const std::string& path,
-                           const MemoryModelChecker::Result& result) {
-  std::ofstream out(path, std::ios::app);
-  if (!out) {
-    AXONN_LOG_WARN << "memcheck: cannot open " << path;
-    return false;
-  }
-  for (const auto& tr : result.tags) {
-    out << "{\"tag\":\"" << mem::to_string(tr.tag) << "\",\"predicted_bytes\":"
-        << tr.predicted_bytes << ",\"measured_bytes\":" << tr.measured_bytes
-        << ",\"rel_error\":" << tr.rel_error
-        << ",\"checked\":" << (tr.checked ? "true" : "false")
-        << ",\"ok\":" << (tr.ok ? "true" : "false") << "}\n";
-  }
-  out << "{\"summary\":true,\"worst_rel_error\":" << result.worst_rel_error
-      << ",\"ok\":" << (result.ok ? "true" : "false") << "}\n";
-  return static_cast<bool>(out);
 }
 
 }  // namespace axonn::perf

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <utility>
 
 #include "axonn/base/crc32.hpp"
@@ -169,15 +170,6 @@ void CheckpointReader::parse(std::span<const std::byte> bytes,
   }
 }
 
-bool validate_checkpoint(const std::string& path) {
-  try {
-    CheckpointReader reader(path);
-    return true;
-  } catch (const CheckpointError&) {
-    return false;
-  }
-}
-
 std::span<const std::byte> CheckpointReader::section(
     const std::string& name) const {
   auto it = sections_.find(name);
@@ -240,15 +232,8 @@ std::vector<std::byte> encode_train_snapshot(GPTModel& model, Adam& adam,
 void load_checkpoint(const std::string& path, GPTModel& model, Adam& adam,
                      TrainCursor& cursor, int rank, int world_size) {
   const CheckpointReader ckpt(path);
-  const SnapshotMeta meta = read_snapshot_meta(ckpt);
-  if (meta.rank != static_cast<std::uint32_t>(rank) ||
-      meta.world_size != static_cast<std::uint32_t>(world_size)) {
-    throw CheckpointError(
-        "checkpoint " + path + " was written by rank " +
-        std::to_string(meta.rank) + "/" + std::to_string(meta.world_size) +
-        " but is being restored on rank " + std::to_string(rank) + "/" +
-        std::to_string(world_size));
-  }
+  const SnapshotMeta meta =
+      read_snapshot_meta(ckpt, rank, world_size, "checkpoint " + path);
   if (meta.param_slots != adam.num_params() ||
       meta.param_scalars != adam.total_parameter_count()) {
     throw CheckpointError("checkpoint " + path +
@@ -282,13 +267,22 @@ void load_checkpoint(const std::string& path, GPTModel& model, Adam& adam,
   read_step_state(ckpt, adam, cursor);
 }
 
-SnapshotMeta read_snapshot_meta(const CheckpointReader& ckpt) {
+SnapshotMeta read_snapshot_meta(const CheckpointReader& ckpt, int rank,
+                                int world_size, const std::string& origin) {
   ByteReader in(ckpt.section("meta"));
   SnapshotMeta meta;
   meta.rank = in.get_u32();
   meta.world_size = in.get_u32();
   meta.param_slots = in.get_u64();
   meta.param_scalars = in.get_u64();
+  if (meta.rank != static_cast<std::uint32_t>(rank) ||
+      meta.world_size != static_cast<std::uint32_t>(world_size)) {
+    throw CheckpointError(origin + " was written by rank " +
+                          std::to_string(meta.rank) + "/" +
+                          std::to_string(meta.world_size) + ", expected " +
+                          std::to_string(rank) + "/" +
+                          std::to_string(world_size));
+  }
   return meta;
 }
 
@@ -316,42 +310,35 @@ std::int64_t find_latest_valid_step(const std::string& dir, int world_size) {
   std::error_code ec;
   if (!fs::is_directory(dir, ec)) return -1;
 
-  // step -> count of rank files present for that step.
-  std::map<std::uint64_t, int> step_files;
+  // Every step with at least one "ckpt-<digits>.r<digits>.axck" file.
+  std::set<std::uint64_t> steps;
   for (const auto& entry : fs::directory_iterator(dir, ec)) {
     const std::string name = entry.path().filename().string();
-    // Expect "ckpt-<digits>.r<digits>.axck".
     if (name.rfind("ckpt-", 0) != 0) continue;
     const auto dot = name.find(".r");
     if (dot == std::string::npos || name.size() < dot + 2) continue;
     if (name.substr(name.size() - 5) != ".axck") continue;
     try {
-      step_files[std::stoull(name.substr(5, dot - 5))] += 1;
+      steps.insert(std::stoull(name.substr(5, dot - 5)));
     } catch (const std::exception&) {
       continue;
     }
   }
 
-  for (auto it = step_files.rbegin(); it != step_files.rend(); ++it) {
-    const std::uint64_t step = it->first;
-    if (it->second < world_size) {
-      AXONN_LOG_WARN << "checkpoint step " << step << " is incomplete ("
-                     << it->second << "/" << world_size
-                     << " rank files) — skipping";
-      continue;
-    }
-    bool all_valid = true;
-    for (int r = 0; r < world_size; ++r) {
-      const std::string path =
-          (fs::path(dir) / checkpoint_filename(step, r)).string();
-      if (!validate_checkpoint(path)) {
-        AXONN_LOG_WARN << "checkpoint " << path
-                       << " failed validation — skipping step " << step;
-        all_valid = false;
-        break;
+  // A step is restorable when every rank's file opens, passes its CRCs and
+  // was written by that rank of a world_size-rank world: after a shrink the
+  // smaller world's files can sit beside an older world's under one step.
+  for (auto it = steps.rbegin(); it != steps.rend(); ++it) {
+    try {
+      for (int r = 0; r < world_size; ++r) {
+        const std::string path =
+            (fs::path(dir) / checkpoint_filename(*it, r)).string();
+        read_snapshot_meta(CheckpointReader(path), r, world_size, path);
       }
+      return static_cast<std::int64_t>(*it);
+    } catch (const CheckpointError& e) {
+      AXONN_LOG_WARN << "checkpoint step " << *it << " skipped: " << e.what();
     }
-    if (all_valid) return static_cast<std::int64_t>(step);
   }
   return -1;
 }

@@ -101,17 +101,11 @@ void restore_from_replicas(const Plan& plan, ElasticShared& shared,
     }
   }
 
-  const std::optional<std::uint64_t> step = shared.replicas.common_step();
-  if (!step) {
-    throw CheckpointError(
-        "elastic: replica store has no step common to every slot — "
-        "escalating to a disk restart");
-  }
-
+  const std::uint64_t step = shared.replicas.recovery_step(plan.dead_slots);
   std::vector<std::vector<std::byte>> blobs;
   blobs.reserve(static_cast<std::size_t>(old_n));
   for (int s = 0; s < old_n; ++s) {
-    blobs.push_back(shared.replicas.blob(s, *step));
+    blobs.push_back(shared.replicas.blob(s, step));
   }
   reshard_restore(blobs, trainer.model, trainer.adam, trainer.cursor, slot,
                   nslots);

@@ -120,10 +120,6 @@ class CheckpointReader {
   std::map<std::string, std::vector<std::byte>> sections_;
 };
 
-/// True iff `path` parses and every section CRC validates (no state is
-/// restored). Used to skip torn/corrupted files during restart.
-bool validate_checkpoint(const std::string& path);
-
 // ---------------------------------------------------------------------------
 // Training-loop snapshot
 // ---------------------------------------------------------------------------
@@ -158,7 +154,11 @@ struct SnapshotMeta {
   std::uint64_t param_slots = 0;    ///< Adam::num_params()
   std::uint64_t param_scalars = 0;  ///< Adam::total_parameter_count()
 };
-SnapshotMeta read_snapshot_meta(const CheckpointReader& ckpt);
+/// Reads the "meta" section and checks that rank `rank` of a
+/// `world_size`-rank world wrote it; throws CheckpointError naming `origin`
+/// otherwise.
+SnapshotMeta read_snapshot_meta(const CheckpointReader& ckpt, int rank,
+                                int world_size, const std::string& origin);
 
 /// Restores the Adam step count ("adam.t") and the cursor ("cursor": step,
 /// next_doc, the four RNG words) from a training snapshot.
@@ -168,9 +168,11 @@ void read_step_state(const CheckpointReader& ckpt, Adam& adam,
 /// "ckpt-<step padded to 8>.r<rank>.axck".
 std::string checkpoint_filename(std::uint64_t step, int rank);
 
-/// Highest step for which every rank 0..world_size-1 has a file in `dir`
-/// that fully validates, or -1 if none. Torn or corrupted steps are skipped
-/// (logged at warn level) — the fall-back-past-a-bad-checkpoint path.
+/// Highest step for which every rank r in 0..world_size-1 has a file in
+/// `dir` that fully validates and whose meta names rank r of a
+/// `world_size`-rank world, or -1 if none. Torn, corrupted and mixed-world
+/// steps are skipped (logged at warn level) — the
+/// fall-back-past-a-bad-checkpoint path.
 std::int64_t find_latest_valid_step(const std::string& dir, int world_size);
 
 }  // namespace axonn::train

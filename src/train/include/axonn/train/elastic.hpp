@@ -37,8 +37,8 @@ class RankTrainer {
   };
 
   /// Builds the stack on `raw` with `shape` (whose total is raw.size()).
-  /// With chaos enabled, `raw` is wrapped in a ChaosComm; the node faults
-  /// (crash, hang, one-shot memory corruption) are armed only when
+  /// When config.chaos is armed, `raw` is wrapped in a ChaosComm; the node
+  /// faults (crash, hang, one-shot memory corruption) fire only when
   /// `first_world` is set. Collective-free apart from Grid4D's splits.
   RankTrainer(const ResilientTrainConfig& config, bool first_world,
               comm::Communicator& raw, const sim::GridShape& shape);

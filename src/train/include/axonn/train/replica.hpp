@@ -13,11 +13,13 @@
 // a spare swap that cut is exactly its slot's own blob, after a shrink it
 // re-shards — with no disk read on the recovery path at all.
 //
-// The store keeps a two-deep history per slot. Pushes are not atomic across
-// ranks: a crash *during* the push wave leaves some slots at step S and
-// others still at S - k. The recovery step is therefore the newest step
-// every slot holds (`common_step`), which the history guarantees exists as
-// long as at most one push wave was torn.
+// The store keeps a two-deep history per slot, and recovery rolls back to
+// the oldest step the dead slots' own histories hold (`recovery_step`).
+// Each slot pushes step s before its first collective of the next step, so
+// a dead slot's newest push proves every survivor already pushed the dead
+// slot's older entry, and no survivor can have finished a later step
+// without the dead slot — the step depends only on where the crash sits in
+// the dead slot's own collective sequence, never on push arrival order.
 //
 // A slot's replica survives the failure iff someone still holding its bytes
 // is alive: the slot's own occupant (local copy) or its buddy, slot
@@ -29,7 +31,6 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -59,9 +60,11 @@ class ReplicaStore {
   /// most the two newest steps per slot.
   void push(int slot, std::uint64_t step, std::span<const std::byte> blob);
 
-  /// Newest step every slot holds a blob for, or nullopt if some slot has
-  /// no blob at the common step (empty store, or more than one torn wave).
-  std::optional<std::uint64_t> common_step() const;
+  /// The recovery step after `dead_slots` failed: the minimum over the dead
+  /// slots of each one's older history entry (its only entry if it has
+  /// one). Throws CheckpointError if a dead slot never pushed or some slot
+  /// does not hold that step — the caller falls back to a disk restart.
+  std::uint64_t recovery_step(const std::vector<int>& dead_slots) const;
 
   /// Copy of slot `slot`'s blob at `step`; throws CheckpointError if absent.
   std::vector<std::byte> blob(int slot, std::uint64_t step) const;

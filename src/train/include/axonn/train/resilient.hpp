@@ -8,8 +8,8 @@
 // writes, CRC-protected — see checkpoint.hpp). If a rank fails mid-run
 // (e.g. an injected RankFailure) the world aborts, every surviving rank
 // unblocks, and the driver re-spawns the world via run_ranks, restores the
-// latest checkpoint whose files all validate (skipping torn or corrupted
-// ones), and replays forward. Because the snapshot is bit-exact and all
+// latest checkpoint whose files all validate (skipping torn, corrupted or
+// mixed-world ones), and replays forward. Because the snapshot is bit-exact and all
 // training arithmetic is deterministic, the recovered run finishes with a
 // loss bit-identical to an uninterrupted run — the property the end-to-end
 // test asserts.
@@ -76,10 +76,10 @@ struct ResilientTrainConfig {
   };
   ElasticConfig elastic;
 
-  /// Fault injection applied to every rank's world communicator. The crash
-  /// fault only fires on the first attempt — a restart models the failed
-  /// node being replaced by a healthy one.
-  bool enable_chaos = false;
+  /// Fault injection applied to every rank's world communicator when it
+  /// arms anything (ChaosConfig::armed()). The node faults (crash, hang,
+  /// one-shot memory corruption) only fire in the first world — a restart
+  /// models the failed node being replaced by a healthy one.
   comm::ChaosConfig chaos;
 
   /// Collective watchdog budget for the spawned worlds (0 = off).

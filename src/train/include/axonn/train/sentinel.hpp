@@ -22,7 +22,7 @@
 // Replay is deterministic-but-not-identical at the fault layer: ChaosComm's
 // per-rank collective counters keep advancing, so a one-shot injected fault
 // does not re-fire and the replayed step goes through clean. After
-// `max_replays` consecutive failures of the same step the sentinel escalates
+// kMaxReplays (sentinel.cpp) consecutive failures of one step it escalates
 // with SdcEscalationError, handing control to the PR 1 checkpoint/restart
 // supervisor (the fail-stop path). kDetect escalates on first detection;
 // kOff disables the sentinel (and its journal) entirely.
@@ -54,14 +54,6 @@ struct SentinelConfig {
   /// kHeal checks, rolls back and replays. Resolved against the
   /// AXONN_INTEGRITY env override at construction.
   integrity::IntegrityMode mode = integrity::IntegrityMode::kOff;
-
-  /// Steps observed before the gradient-spike check arms (the EMA needs
-  /// samples; NaN/inf checks are always armed). See sentinel.cpp for the
-  /// spike threshold.
-  int warmup_steps = 2;
-
-  /// Consecutive failed replays of one step before escalating.
-  int max_replays = 2;
 };
 
 class TrainingSentinel {
@@ -85,7 +77,7 @@ class TrainingSentinel {
   /// true. Unhealthy: kDetect throws SdcEscalationError; kHeal rolls back to
   /// the journal snapshot (restoring `cursor`), counts a replay, and
   /// returns false — the caller re-runs the step. Escalates after
-  /// max_replays consecutive failures of the same step.
+  /// kMaxReplays consecutive failures of the same step.
   bool check_step(float loss, TrainCursor& cursor);
 
   /// Steps replayed so far (rank-local view of a world-consistent count).
@@ -103,7 +95,6 @@ class TrainingSentinel {
   void local_health(float loss, double out[2]) const;
   void rollback(TrainCursor& cursor);
 
-  SentinelConfig config_;
   integrity::IntegrityMode mode_;
   comm::Communicator& world_;
   GPTModel& model_;

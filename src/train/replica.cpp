@@ -1,6 +1,8 @@
 #include "axonn/train/replica.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <string>
 
 #include "axonn/base/error.hpp"
 #include "axonn/base/partition.hpp"
@@ -30,21 +32,32 @@ void ReplicaStore::push(int slot, std::uint64_t step,
   }
 }
 
-std::optional<std::uint64_t> ReplicaStore::common_step() const {
+std::uint64_t ReplicaStore::recovery_step(
+    const std::vector<int>& dead_slots) const {
+  AXONN_CHECK_MSG(!dead_slots.empty(), "recovery_step needs a dead slot");
   std::lock_guard<std::mutex> lock(mutex_);
-  std::optional<std::uint64_t> common;
-  for (const auto& h : history_) {
-    if (h.empty()) return std::nullopt;
-    const std::uint64_t newest = h.back().step;
-    common = common ? std::min(*common, newest) : newest;
+  std::uint64_t step = std::numeric_limits<std::uint64_t>::max();
+  for (const int dead : dead_slots) {
+    AXONN_CHECK(dead >= 0 && dead < static_cast<int>(history_.size()));
+    const auto& h = history_[static_cast<std::size_t>(dead)];
+    if (h.empty()) {
+      throw CheckpointError("replica store: dead slot " +
+                            std::to_string(dead) + " never pushed");
+    }
+    step = std::min(step, h.front().step);  // the older entry, or the only one
   }
-  for (const auto& h : history_) {
+  for (std::size_t s = 0; s < history_.size(); ++s) {
+    const auto& h = history_[s];
     const bool holds = std::any_of(h.begin(), h.end(), [&](const Entry& e) {
-      return e.step == *common;
+      return e.step == step;
     });
-    if (!holds) return std::nullopt;  // more than one push wave torn
+    if (!holds) {
+      throw CheckpointError("replica store: slot " + std::to_string(s) +
+                            " holds no blob at recovery step " +
+                            std::to_string(step));
+    }
   }
-  return common;
+  return step;
 }
 
 std::vector<std::byte> ReplicaStore::blob(int slot, std::uint64_t step) const {
@@ -76,15 +89,8 @@ void reshard_restore(const std::vector<std::vector<std::byte>>& old_blobs,
     readers.emplace_back(std::span<const std::byte>(blob));
   }
   for (int s = 0; s < old_world; ++s) {
-    const SnapshotMeta meta =
-        read_snapshot_meta(readers[static_cast<std::size_t>(s)]);
-    if (meta.rank != static_cast<std::uint32_t>(s) ||
-        meta.world_size != static_cast<std::uint32_t>(old_world)) {
-      throw CheckpointError(
-          "reshard_restore: blob " + std::to_string(s) + " was written by " +
-          std::to_string(meta.rank) + "/" + std::to_string(meta.world_size) +
-          ", expected " + std::to_string(s) + "/" + std::to_string(old_world));
-    }
+    read_snapshot_meta(readers[static_cast<std::size_t>(s)], s, old_world,
+                       "reshard_restore: blob " + std::to_string(s));
   }
 
   const std::vector<GPTModel::ParamSpec> specs = model.parameter_specs();

@@ -25,7 +25,7 @@ constexpr std::uint64_t kDataSeed = 0xDA7A0DD5ULL;
 std::unique_ptr<comm::ChaosComm> chaos_for_world(
     const ResilientTrainConfig& config, bool first_world,
     comm::Communicator& raw) {
-  if (!config.enable_chaos) return nullptr;
+  if (!config.chaos.armed()) return nullptr;
   comm::ChaosConfig chaos = config.chaos;
   if (!first_world) {
     // A later world (supervisor restart or elastic epoch) models the failed

@@ -19,6 +19,11 @@ namespace {
 constexpr double kSpikeFactor = 1e3;
 /// EMA weight of the newest healthy observation.
 constexpr double kEmaDecay = 0.5;
+/// Healthy steps observed before the spike check arms (the EMA needs
+/// samples; the NaN/inf check is always armed).
+constexpr int kWarmupSteps = 2;
+/// Consecutive failed replays of one step before escalating.
+constexpr int kMaxReplays = 2;
 
 std::string escalation_message(std::uint64_t step, int replays) {
   return "sentinel escalation at step " + std::to_string(step) + " after " +
@@ -34,13 +39,10 @@ SdcEscalationError::SdcEscalationError(std::uint64_t step, int replays)
 TrainingSentinel::TrainingSentinel(const SentinelConfig& config,
                                    comm::Communicator& world, GPTModel& model,
                                    Adam& adam)
-    : config_(config),
-      mode_(integrity::effective_mode(config.mode)),
+    : mode_(integrity::effective_mode(config.mode)),
       world_(world),
       model_(model),
-      adam_(adam) {
-  AXONN_CHECK(config_.max_replays >= 0);
-}
+      adam_(adam) {}
 
 void TrainingSentinel::journal(const TrainCursor& cursor) {
   if (!enabled()) return;
@@ -92,7 +94,7 @@ bool TrainingSentinel::check_step(float loss, TrainCursor& cursor) {
 
   const double global_sumsq = word[1];
   const bool non_finite = word[0] != 0.0f || !std::isfinite(global_sumsq);
-  const bool spike = healthy_steps_ >= config_.warmup_steps && ema_ > 0.0 &&
+  const bool spike = healthy_steps_ >= kWarmupSteps && ema_ > 0.0 &&
                      global_sumsq > kSpikeFactor * ema_;
 
   if (!non_finite && !spike) {
@@ -127,7 +129,7 @@ bool TrainingSentinel::check_step(float loss, TrainCursor& cursor) {
 
   if (mode_ == integrity::IntegrityMode::kDetect ||
       journal_.weights.empty() ||
-      consecutive_failures_ > config_.max_replays) {
+      consecutive_failures_ > kMaxReplays) {
     throw SdcEscalationError(step, consecutive_failures_ - 1);
   }
   rollback(cursor);

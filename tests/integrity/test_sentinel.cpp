@@ -215,7 +215,6 @@ TEST(SentinelTest, ConsecutiveFailingStepsReplayBitIdentical) {
 TEST(SentinelTest, GradientSpikeTriggersAfterWarmup) {
   SentinelConfig config;
   config.mode = IntegrityMode::kHeal;
-  config.warmup_steps = 2;
   with_training_stack(config, [](GPTModel& model, Adam& adam,
                                  TrainingSentinel& sentinel,
                                  const BucketCorpus& corpus) {
@@ -260,7 +259,6 @@ TEST(SentinelTest, DetectModeEscalatesImmediately) {
 TEST(SentinelTest, ReplayBudgetExhaustionEscalates) {
   SentinelConfig config;
   config.mode = IntegrityMode::kHeal;
-  config.max_replays = 1;
   with_training_stack(config, [](GPTModel& model, Adam& adam,
                                  TrainingSentinel& sentinel,
                                  const BucketCorpus& corpus) {
@@ -274,7 +272,9 @@ TEST(SentinelTest, ReplayBudgetExhaustionEscalates) {
     };
     sentinel.journal(cursor);
     EXPECT_FALSE(sentinel.check_step(poisoned_step(), cursor));  // replay 1
-    // A persistently-failing step (same step index) exceeds max_replays=1.
+    EXPECT_FALSE(sentinel.check_step(poisoned_step(), cursor));  // replay 2
+    // A persistently-failing step (same step index) exceeds the two-replay
+    // budget.
     EXPECT_THROW(sentinel.check_step(poisoned_step(), cursor),
                  SdcEscalationError);
   });
@@ -329,7 +329,6 @@ TEST_P(SentinelHealTest, OneShotMemoryCorruptionHealsBitIdentical) {
   EXPECT_EQ(reference.steps_executed, 6u);
 
   auto config = heal_config("corrupted");
-  config.enable_chaos = true;
   config.chaos.seed = 13;
   // One high-exponent bit flip in a mid-training collective result — the
   // post-delivery memory-corruption class no transport CRC can see.
@@ -366,7 +365,6 @@ TEST(SentinelTest, EscalationFallsBackToCheckpointRestart) {
 
   auto config = sentinel_config(scratch_dir("esc_detect"));
   config.sentinel.mode = IntegrityMode::kDetect;
-  config.enable_chaos = true;
   config.chaos.seed = 17;
   config.chaos.corrupt_once_rank = 0;
   config.chaos.corrupt_once_collective = 12;

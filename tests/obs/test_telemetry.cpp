@@ -293,7 +293,6 @@ TEST(StepTelemetryTest, ResilientTrainingFlagsTheInjectedStraggler) {
   config.batch_per_rank = 1;
   config.checkpoint_every = 0;
   config.checkpoint_dir = (dir / "ckpt").string();
-  config.enable_chaos = true;
   config.chaos.slow_rank = 1;
   config.chaos.slow_delay = std::chrono::microseconds(3000);
   config.straggler.factor = 1.5;

@@ -1,6 +1,7 @@
 // Checkpoint format: byte-level round trips, CRC detection of corruption
 // and truncation, atomic writes, bit-exact model/optimizer/cursor restore,
-// and find_latest_valid_step falling back past a bad newest checkpoint.
+// and find_latest_valid_step falling back past a bad or mixed-world newest
+// checkpoint.
 
 #include <gtest/gtest.h>
 
@@ -31,10 +32,19 @@ std::vector<std::byte> small_payload() {
   return w.take();
 }
 
-/// A one-section ("alpha") checkpoint file for `step` and `rank` in `dir`.
-void write_valid(const fs::path& dir, std::uint64_t step, int rank) {
+/// A checkpoint file for `step` in `dir`, written by rank `rank` of a
+/// `world_size`-rank world: an "alpha" section, then the "meta" section the
+/// restore scan checks.
+void write_valid(const fs::path& dir, std::uint64_t step, int rank,
+                 int world_size) {
   CheckpointWriter writer;
   writer.add_section("alpha", small_payload());
+  ByteWriter meta;
+  meta.put_u32(static_cast<std::uint32_t>(rank));
+  meta.put_u32(static_cast<std::uint32_t>(world_size));
+  meta.put_u64(0);  // optimizer layout: unused by the scan
+  meta.put_u64(0);
+  writer.add_section("meta", meta.take());
   write_checkpoint_file((dir / checkpoint_filename(step, rank)).string(),
                         writer.to_bytes());
 }
@@ -63,7 +73,7 @@ TEST(CheckpointFileTest, WriteReadRoundTrip) {
   writer.add_section("beta", bw.take());
   write_checkpoint_file(path, writer.to_bytes());
 
-  EXPECT_TRUE(validate_checkpoint(path));
+  EXPECT_NO_THROW(CheckpointReader reader(path));
   // The atomic-write staging file must not survive a successful commit.
   EXPECT_FALSE(fs::exists(path + ".tmp"));
 
@@ -76,7 +86,7 @@ TEST(CheckpointFileTest, WriteReadRoundTrip) {
 
 TEST(CheckpointFileTest, CorruptionIsDetected) {
   const fs::path dir = scratch_dir("corrupt");
-  write_valid(dir, 0, 0);
+  write_valid(dir, 0, 0, 1);
   const std::string path = (dir / checkpoint_filename(0, 0)).string();
 
   // Flip one byte in the payload (last byte of the file).
@@ -90,27 +100,25 @@ TEST(CheckpointFileTest, CorruptionIsDetected) {
   f.write(&byte, 1);
   f.close();
 
-  EXPECT_FALSE(validate_checkpoint(path));
   EXPECT_THROW(CheckpointReader reader(path), CheckpointError);
 }
 
 TEST(CheckpointFileTest, TruncationIsDetected) {
   const fs::path dir = scratch_dir("truncate");
-  write_valid(dir, 0, 0);
+  write_valid(dir, 0, 0, 1);
   const std::string path = (dir / checkpoint_filename(0, 0)).string();
 
   fs::resize_file(path, fs::file_size(path) / 2);
-  EXPECT_FALSE(validate_checkpoint(path));
   EXPECT_THROW(CheckpointReader reader(path), CheckpointError);
 }
 
 TEST(CheckpointFileTest, MissingFileAndGarbageMagicRejected) {
   const fs::path dir = scratch_dir("garbage");
-  EXPECT_FALSE(validate_checkpoint((dir / "nope.axck").string()));
+  EXPECT_THROW(CheckpointReader reader((dir / "nope.axck").string()),
+               CheckpointError);
 
   const std::string path = (dir / "bad.axck").string();
   std::ofstream(path, std::ios::binary) << "this is not a checkpoint";
-  EXPECT_FALSE(validate_checkpoint(path));
   EXPECT_THROW(CheckpointReader reader(path), CheckpointError);
 }
 
@@ -235,8 +243,8 @@ TEST(CheckpointStateTest, WorldShapeMismatchRejected) {
 TEST(FindLatestValidStepTest, SkipsTornAndIncompleteSteps) {
   const fs::path dir = scratch_dir("latest");
   EXPECT_EQ(find_latest_valid_step(dir.string(), 1), -1);
-  write_valid(dir, 4, 0);
-  write_valid(dir, 8, 0);
+  write_valid(dir, 4, 0, 1);
+  write_valid(dir, 8, 0, 1);
   EXPECT_EQ(find_latest_valid_step(dir.string(), 1), 8);
 
   // Newest step is torn: garbage bytes under a valid checkpoint name. The
@@ -246,9 +254,9 @@ TEST(FindLatestValidStepTest, SkipsTornAndIncompleteSteps) {
   EXPECT_EQ(find_latest_valid_step(dir.string(), 1), 8);
 
   // A step missing one rank's file is incomplete, not restorable.
-  write_valid(dir, 16, 0);
+  write_valid(dir, 16, 0, 2);
   EXPECT_EQ(find_latest_valid_step(dir.string(), 2), -1);
-  write_valid(dir, 16, 1);
+  write_valid(dir, 16, 1, 2);
   EXPECT_EQ(find_latest_valid_step(dir.string(), 2), 16);
 }
 
@@ -257,8 +265,8 @@ TEST(FindLatestValidStepTest, OversizedLengthFieldFallsBackToOlderStep) {
   // must fail the bounds check before it sizes an allocation, and the scan
   // must skip the file like any torn one.
   const fs::path dir = scratch_dir("length");
-  write_valid(dir, 4, 0);
-  write_valid(dir, 8, 0);
+  write_valid(dir, 4, 0, 1);
+  write_valid(dir, 8, 0, 1);
   const std::string newest = (dir / checkpoint_filename(8, 0)).string();
   {
     // magic | version | section count | name_len | "alpha" | payload_len
@@ -267,7 +275,6 @@ TEST(FindLatestValidStepTest, OversizedLengthFieldFallsBackToOlderStep) {
     const std::uint64_t huge = 1ull << 62;
     f.write(reinterpret_cast<const char*>(&huge), sizeof(huge));
   }
-  EXPECT_FALSE(validate_checkpoint(newest));
   EXPECT_THROW(CheckpointReader reader(newest), CheckpointError);
   EXPECT_EQ(find_latest_valid_step(dir.string(), 1), 4);
 }
@@ -277,12 +284,12 @@ TEST(FindLatestValidStepTest, MixedValidityDirectoryFallsBackPerRankSet) {
   // restorable step is the newest one where *every* rank's file validates —
   // one rank's corruption poisons the whole step, not just that rank.
   const fs::path dir = scratch_dir("mixed");
-  write_valid(dir, 4, 0);
-  write_valid(dir, 4, 1);
-  write_valid(dir, 8, 0);
-  write_valid(dir, 8, 1);
-  write_valid(dir, 12, 0);
-  write_valid(dir, 12, 1);
+  write_valid(dir, 4, 0, 2);
+  write_valid(dir, 4, 1, 2);
+  write_valid(dir, 8, 0, 2);
+  write_valid(dir, 8, 1, 2);
+  write_valid(dir, 12, 0, 2);
+  write_valid(dir, 12, 1, 2);
   EXPECT_EQ(find_latest_valid_step(dir.string(), 2), 12);
 
   // Corrupt rank 1's newest file in place (flip a payload byte): rank 0's
@@ -296,13 +303,36 @@ TEST(FindLatestValidStepTest, MixedValidityDirectoryFallsBackPerRankSet) {
   EXPECT_EQ(find_latest_valid_step(dir.string(), 2), 8);
 
   // A newer step with only one rank present does not change the verdict.
-  write_valid(dir, 16, 0);
+  write_valid(dir, 16, 0, 2);
   EXPECT_EQ(find_latest_valid_step(dir.string(), 2), 8);
 
   // Completing step 16 on rank 1 makes it the newest fully-valid step even
   // though step 12 below it is still half-corrupt.
-  write_valid(dir, 16, 1);
+  write_valid(dir, 16, 1, 2);
   EXPECT_EQ(find_latest_valid_step(dir.string(), 2), 16);
+}
+
+TEST(FindLatestValidStepTest, MixedWorldStepIsSkipped) {
+  // After a shrink the 2-rank world rewrites .r0/.r1 of steps whose .r2 the
+  // 3-rank world left behind. Every file of such a step validates, but its
+  // meta names two worlds: a 3-rank restore must fall back past it, and a
+  // 2-rank restore must not take the 3-rank step below it either.
+  const fs::path dir = scratch_dir("mixed_world");
+  for (const std::uint64_t step : {1u, 2u}) {
+    for (int r = 0; r < 3; ++r) write_valid(dir, step, r, 3);
+  }
+  EXPECT_EQ(find_latest_valid_step(dir.string(), 3), 2);
+  EXPECT_EQ(find_latest_valid_step(dir.string(), 2), -1);
+  write_valid(dir, 2, 0, 2);
+  write_valid(dir, 2, 1, 2);
+  EXPECT_EQ(find_latest_valid_step(dir.string(), 3), 1);
+  EXPECT_EQ(find_latest_valid_step(dir.string(), 2), 2);
+  write_valid(dir, 1, 1, 2);  // step 1 now mixed too, for both worlds
+  EXPECT_EQ(find_latest_valid_step(dir.string(), 3), -1);
+  EXPECT_EQ(find_latest_valid_step(dir.string(), 2), 2);
+  write_valid(dir, 3, 0, 2);
+  write_valid(dir, 3, 1, 2);
+  EXPECT_EQ(find_latest_valid_step(dir.string(), 2), 3);
 }
 
 }  // namespace

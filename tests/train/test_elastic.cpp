@@ -65,7 +65,6 @@ TEST(ElasticTrainingTest, SpareSwapResumesBitIdentical) {
 
   auto config = elastic_config(scratch_dir("swap_chaos"), /*gz=*/3,
                                /*spares=*/1);
-  config.enable_chaos = true;
   config.chaos.seed = 11;
   config.chaos.crash_rank = 1;  // a grid slot: stable across the swap
   config.chaos.crash_at_collective = 25;
@@ -79,7 +78,7 @@ TEST(ElasticTrainingTest, SpareSwapResumesBitIdentical) {
   EXPECT_EQ(recovered.replica_restores, 3u);  // 2 survivors + the spare
   EXPECT_EQ(recovered.final_world_size, 3);
   EXPECT_GE(recovered.recovery_ms, 0.0);
-  // Rolled back to the replicas' common step, then replayed: at least the
+  // Rolled back to the dead slot's older replica, then replayed: at least the
   // uninterrupted step count in total.
   EXPECT_GE(recovered.steps_executed, 6u);
 
@@ -91,7 +90,6 @@ TEST(ElasticTrainingTest, SpareSwapResumesBitIdentical) {
 TEST(ElasticTrainingTest, ShrinkToSurvivorsIsDeterministic) {
   auto make = [](const fs::path& dir) {
     auto config = elastic_config(dir, /*gz=*/3, /*spares=*/0);
-    config.enable_chaos = true;
     config.chaos.seed = 11;
     config.chaos.crash_rank = 2;
     config.chaos.crash_at_collective = 25;
@@ -107,12 +105,50 @@ TEST(ElasticTrainingTest, ShrinkToSurvivorsIsDeterministic) {
   EXPECT_EQ(first.final_world_size, 2);
   EXPECT_GE(first.recovery_ms, 0.0);
 
-  // The crash slot, the replicas' common step and the post-shrink replay are
+  // The crash slot, the replicas' recovery step and the post-shrink replay are
   // all deterministic, so a second run lands on the identical loss.
   const auto second = run_resilient_training(make(scratch_dir("shrink_b")));
   EXPECT_EQ(second.final_world_size, 2);
   EXPECT_EQ(second.shrinks, 1u);
   EXPECT_EQ(second.final_loss, first.final_loss);
+}
+
+TEST(ElasticTrainingTest, FullSizeRestartAfterShrinkSkipsMixedWorldSteps) {
+  // The shrink rolls back behind steps the 3-rank world already wrote, and
+  // the 2-rank world rewrites their .r0/.r1 files beside the old .r2. A
+  // full-size run in the same directory must skip those mixed-world steps,
+  // restore the newest step the 3-rank world wrote whole (if any), and
+  // finish on a clean full-size run's loss.
+  const auto reference = run_resilient_training(
+      elastic_config(scratch_dir("mixed_ref"), /*gz=*/3, /*spares=*/0));
+
+  // A crash inside step 2 rolls back to step 0, so the restart has no
+  // 3-rank step left and trains from scratch; one inside step 3 rolls back
+  // to step 1, which the restart restores.
+  struct Case {
+    std::uint64_t crash_at;
+    std::uint64_t restart_steps;
+  };
+  for (const Case c : {Case{25, 6}, Case{55, 5}}) {
+    const fs::path dir =
+        scratch_dir("mixed_world_" + std::to_string(c.crash_at));
+    auto shrink = elastic_config(dir, /*gz=*/3, /*spares=*/0);
+    shrink.chaos.seed = 11;
+    shrink.chaos.crash_rank = 2;
+    shrink.chaos.crash_at_collective = c.crash_at;
+    const auto shrunk = run_resilient_training(shrink);
+    ASSERT_EQ(shrunk.shrinks, 1u) << "crash_at=" << c.crash_at;
+    ASSERT_EQ(shrunk.final_world_size, 2) << "crash_at=" << c.crash_at;
+
+    const auto restarted =
+        run_resilient_training(elastic_config(dir, /*gz=*/3, /*spares=*/0));
+    EXPECT_EQ(restarted.restarts, 0) << "crash_at=" << c.crash_at;
+    EXPECT_EQ(restarted.steps_executed, c.restart_steps)
+        << "crash_at=" << c.crash_at;
+    EXPECT_EQ(restarted.final_world_size, 3) << "crash_at=" << c.crash_at;
+    EXPECT_EQ(restarted.final_loss, reference.final_loss)
+        << "crash_at=" << c.crash_at;
+  }
 }
 
 TEST(ElasticTrainingTest, ShrinkRefusedBelowMinRanksFallsBackToRestart) {
@@ -124,7 +160,6 @@ TEST(ElasticTrainingTest, ShrinkRefusedBelowMinRanksFallsBackToRestart) {
 
   auto config = elastic_config(scratch_dir("floor"), /*gz=*/2, /*spares=*/0);
   config.elastic.min_ranks = 2;  // a 2-rank world may not shrink to 1
-  config.enable_chaos = true;
   config.chaos.seed = 11;
   config.chaos.crash_rank = 1;
   config.chaos.crash_at_collective = 25;
@@ -146,7 +181,6 @@ TEST(ElasticTrainingTest, HangIsDetectedByHeartbeatsAndRecovered) {
   // Generous staleness budget: TSan slows healthy ranks too, and a false
   // positive here would fence off a live rank.
   config.elastic.heartbeat_timeout = std::chrono::milliseconds(2000);
-  config.enable_chaos = true;
   config.chaos.seed = 11;
   config.chaos.hang_rank = 1;
   config.chaos.hang_at_collective = 25;
@@ -177,7 +211,6 @@ TEST(ElasticTrainingTest, OagPrefetchCrossesEpochFenceBitIdentical) {
     auto config = elastic_config(
         scratch_dir("fence_" + std::to_string(crash_at)), /*gz=*/3,
         /*spares=*/1);
-    config.enable_chaos = true;
     config.chaos.seed = 11;
     config.chaos.crash_rank = 1;
     config.chaos.crash_at_collective = crash_at;
@@ -191,41 +224,49 @@ TEST(ElasticTrainingTest, OagPrefetchCrossesEpochFenceBitIdentical) {
   }
 }
 
-TEST(ReplicaStoreTest, BuddyMappingAndCommonStep) {
+TEST(ReplicaStoreTest, BuddyMappingAndRecoveryStep) {
   EXPECT_EQ(ReplicaStore::buddy_slot(0, 3), 1);
   EXPECT_EQ(ReplicaStore::buddy_slot(1, 3), 2);
   EXPECT_EQ(ReplicaStore::buddy_slot(2, 3), 0);
 
   ReplicaStore store(3);
-  EXPECT_FALSE(store.common_step().has_value());
+  EXPECT_THROW(store.recovery_step({2}), CheckpointError);  // nothing pushed
 
   const std::vector<std::byte> blob{std::byte{0xAB}};
   EXPECT_THROW(store.push(3, 1, blob), Error);  // three slots: 0, 1, 2
-  for (int s = 0; s < 3; ++s) store.push(s, 1, blob);
-  ASSERT_TRUE(store.common_step().has_value());
-  EXPECT_EQ(*store.common_step(), 1u);
+  for (int s = 0; s < 3; ++s) store.push(s, 0, blob);
+  EXPECT_EQ(store.recovery_step({2}), 0u);  // a dead slot's only entry
 
-  // A torn push wave (slot 2 never reached step 2) recovers at step 1, which
-  // the two-deep history still holds for the slots that moved on.
-  store.push(0, 2, blob);
-  store.push(1, 2, blob);
-  EXPECT_EQ(*store.common_step(), 1u);
-  store.push(2, 2, blob);
-  EXPECT_EQ(*store.common_step(), 2u);
+  // Slot 2 pushed step 1 and died inside step 2. Whether survivor slot 1's
+  // step-1 push landed before the death was announced changes nothing: the
+  // step is slot 2's older entry either way.
+  store.push(0, 1, blob);
+  store.push(2, 1, blob);
+  EXPECT_EQ(store.recovery_step({2}), 0u);  // {0,1} {0} {0,1}
+  store.push(1, 1, blob);
+  EXPECT_EQ(store.recovery_step({2}), 0u);  // {0,1} {0,1} {0,1}
 
-  // Two waves torn in a row exceeds the history depth: no common step.
-  store.push(0, 3, blob);
-  store.push(0, 4, blob);
-  EXPECT_FALSE(store.common_step().has_value());
+  // Several dead slots: the oldest of their older entries.
+  for (int s = 0; s < 3; ++s) store.push(s, 2, blob);
+  store.push(0, 3, blob);  // {2,3} {1,2} {1,2}
+  EXPECT_EQ(store.recovery_step({0}), 2u);
+  // Slot 0 no longer holds step 1: the store refuses instead of picking
+  // another step, and the caller restarts from disk.
+  EXPECT_THROW(store.recovery_step({1}), CheckpointError);
+  EXPECT_THROW(store.recovery_step({0, 1}), CheckpointError);
 
-  EXPECT_EQ(store.blob(0, 4), blob);
-  EXPECT_THROW(store.blob(0, 2), CheckpointError);  // evicted
+  EXPECT_EQ(store.blob(0, 3), blob);
+  EXPECT_THROW(store.blob(0, 1), CheckpointError);  // evicted
   EXPECT_EQ(store.blob(2, 2), blob);
 
   store.reset(2);
   EXPECT_THROW(store.push(2, 5, blob), Error);  // two slots: 0, 1
-  EXPECT_FALSE(store.common_step().has_value());
-  EXPECT_THROW(store.blob(0, 4), CheckpointError);
+  EXPECT_THROW(store.blob(0, 3), CheckpointError);
+  // A crash at slot 0's first collective can beat slot 1's baseline push.
+  store.push(0, 5, blob);
+  EXPECT_THROW(store.recovery_step({0}), CheckpointError);
+  store.push(1, 5, blob);
+  EXPECT_EQ(store.recovery_step({0}), 5u);
 }
 
 TEST(ReplicaStoreTest, SameStepRepushReplacesInsteadOfEvicting) {

@@ -1,11 +1,14 @@
-// The GPT trains bitwise identically at one and two GEMM lanes: every
-// product (FC sublayers, LM head, attention) runs on gemm_tiled(), whose task
-// grid depends on the problem shape only (DESIGN.md §13). KV-cached greedy
+// The GPT trains bitwise identically at one and two GEMM lanes, on the
+// benchmark's training grids too: every product (FC sublayers, LM head,
+// attention) runs on gemm_tiled(), whose task grid depends on the problem
+// shape only (DESIGN.md §13). KV-cached greedy
 // decoding reproduces the teacher-forced logits bitwise (DESIGN.md §8).
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "axonn/base/rng.hpp"
@@ -24,10 +27,24 @@ struct RankState {
   int helper_lanes = 0;  ///< worker threads its GEMMs spawned
 };
 
-/// 3 Adam steps on a gz-rank Z grid, each rank on its share of 8 sequences.
-/// hidden 48 gives mlp_up 192 output columns, two 128-column task groups,
-/// so a second lane gets work on either grid.
-std::vector<RankState> train(int gz, int lanes) {
+/// A training grid: gz Z-shards times gdata data-parallel groups.
+struct TrainGrid {
+  int gz = 1;
+  int gdata = 1;
+};
+
+/// "gz" or "gz x gdata", so the ctest names stay stable (gtest would print
+/// the struct's raw bytes otherwise).
+void PrintTo(const TrainGrid& g, std::ostream* os) {
+  *os << g.gz;
+  if (g.gdata > 1) *os << "x" << g.gdata;
+}
+
+/// 3 Adam steps on a gz x gdata grid, each rank on its share of 8 sequences
+/// (split in (d, z) order, as the benchmark shards its batch). hidden 48
+/// gives mlp_up 192 output columns, two 128-column task groups, so a second
+/// lane gets work on every grid.
+std::vector<RankState> train(TrainGrid g, int lanes) {
   TinyGPTConfig config;
   config.vocab = 32;
   config.max_seq = 16;
@@ -37,18 +54,20 @@ std::vector<RankState> train(int gz, int lanes) {
   for (auto& seq : batch) {
     for (auto& t : seq) t = static_cast<std::int32_t>(rng.uniform_int(32));
   }
-  std::vector<RankState> states(static_cast<std::size_t>(gz));
+  const int ranks = g.gz * g.gdata;
+  std::vector<RankState> states(static_cast<std::size_t>(ranks));
   comm::WorldOptions options;
   options.gemm_threads = lanes;
   comm::run_ranks(
-      gz,
+      ranks,
       [&](comm::Communicator& world) {
-        core::Grid4D grid(world, sim::GridShape{1, 1, gz, 1});
+        core::Grid4D grid(world, sim::GridShape{1, 1, g.gz, g.gdata});
         GPTModel model(grid, config);
         Adam adam(AdamConfig{.lr = 5e-3f});
         model.register_params(adam);
-        const auto share = static_cast<std::ptrdiff_t>(8 / gz);
-        const auto first = batch.begin() + grid.z() * share;
+        const auto share = static_cast<std::ptrdiff_t>(8 / ranks);
+        const auto first =
+            batch.begin() + (grid.d() * g.gz + grid.z()) * share;
         const std::vector<TokenSeq> shard(first, first + share);
         RankState& state = states[static_cast<std::size_t>(world.rank())];
         for (int step = 0; step < 3; ++step) {
@@ -74,12 +93,11 @@ bool bitwise_equal(const Matrix& a, const Matrix& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
-class GPTLaneInvarianceTest : public testing::TestWithParam<int> {};
+class GPTLaneInvarianceTest : public testing::TestWithParam<TrainGrid> {};
 
 TEST_P(GPTLaneInvarianceTest, OneAndTwoLanesTrainBitwiseIdentically) {
-  const int gz = GetParam();
-  const std::vector<RankState> one = train(gz, 1);
-  const std::vector<RankState> two = train(gz, 2);
+  const std::vector<RankState> one = train(GetParam(), 1);
+  const std::vector<RankState> two = train(GetParam(), 2);
   for (std::size_t rank = 0; rank < one.size(); ++rank) {
     SCOPED_TRACE(testing::Message() << "rank " << rank);
     EXPECT_EQ(one[rank].helper_lanes, 0);
@@ -96,10 +114,16 @@ TEST_P(GPTLaneInvarianceTest, OneAndTwoLanesTrainBitwiseIdentically) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Grids, GPTLaneInvarianceTest, testing::Values(1, 2),
-                         [](const testing::TestParamInfo<int>& info) {
-                           return "gz" + std::to_string(info.param);
-                         });
+// gz1 and gz2d2 are the grids of the gpt_train_1r and gpt_train_z2d2
+// benchmark workloads.
+INSTANTIATE_TEST_SUITE_P(
+    Grids, GPTLaneInvarianceTest,
+    testing::Values(TrainGrid{1, 1}, TrainGrid{2, 1}, TrainGrid{2, 2}),
+    [](const testing::TestParamInfo<TrainGrid>& info) {
+      const TrainGrid& g = info.param;
+      return "gz" + std::to_string(g.gz) +
+             (g.gdata > 1 ? "d" + std::to_string(g.gdata) : "");
+    });
 
 /// One rank's KV-cached decodes (a 5-token and a 1-token prompt) beside the
 /// teacher-forced logits of each generated sequence.

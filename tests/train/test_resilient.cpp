@@ -48,7 +48,6 @@ TEST(ResilientTrainingTest, CrashRecoveryIsBitIdentical) {
   EXPECT_EQ(reference.steps_executed, 6u);
 
   auto config = base_config(scratch_dir("chaos"));
-  config.enable_chaos = true;
   config.chaos.seed = 11;
   config.chaos.crash_rank = 1;
   // Deep enough to land mid-training (each step issues one all-reduce per
@@ -105,7 +104,6 @@ TEST(ResilientTrainingTest, FreshDirectoryTrainsFromScratch) {
 TEST(ResilientTrainingTest, RestartBudgetExhaustionRethrows) {
   auto config = base_config(scratch_dir("budget"));
   config.total_steps = 2;
-  config.enable_chaos = true;
   config.chaos.seed = 3;
   // Unrecoverable fault: every collective is corrupted and verification is
   // on, so every attempt (restarts keep corruption armed) dies the same way.
